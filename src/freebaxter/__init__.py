@@ -23,7 +23,6 @@ from .completion import (
     complete_mul,
     complete_operator,
     hurwitz_iso,
-    hurwitz_mul,
 )
 from .errors import (
     DegreeTooLow,
@@ -37,7 +36,6 @@ from .errors import (
     NotInImage,
     NotScalarBase,
     TruncMismatch,
-    UnknownVariable,
     WeightMismatch,
     WeightNotZero,
     WeightZero,
@@ -51,7 +49,7 @@ from .mixshuffle import (
     ShufflePermutation,
     ShuffleSelfTarget,
     admissible_pairs,
-    aplus_mul,
+    baxter_identity_holds,
     baxter_operator,
     enumerate_mixable,
     enumerate_shuffles,
@@ -73,7 +71,6 @@ from .standard import (
     prefix_sum_operator,
     prefix_sum_preimage,
     seq_degree,
-    standard_mul,
     to_standard,
 )
 from .words import (
@@ -81,10 +78,7 @@ from .words import (
     AbarWord,
     ShuffleElement,
     TensorWord,
-    abar_mul,
     abar_normalize,
-    element_add,
-    scalar_mul,
 )
 
 __version__ = "0.1.0"

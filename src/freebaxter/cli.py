@@ -16,9 +16,9 @@ from .completion import CompleteElement, HurwitzSeries, complete_mul
 from .errors import ExprSyntaxError, FreeBaxterError
 from .exprparse import eval_expr, parse_expr
 from .mixshuffle import (
-    baxter_operator,
-    enumerate_shuffles,
-    mixable_histogram,
+    ShuffleSelfTarget,
+    baxter_identity_holds,
+    mixable_counts,
     shuffle_product,
     unit_power_product,
     unit_word,
@@ -32,7 +32,8 @@ DEFAULT_GENS = "x1,x2,x3,x4"
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--weight", default="lam",
-                        help="weight polynomial in the coefficient namespace (default: lam)")
+                        help="weight polynomial in the coefficient namespace, naming no "
+                             "generator (default: lam)")
     parser.add_argument("--gens", default=DEFAULT_GENS,
                         help="comma-separated generator names")
     parser.add_argument("--output", choices=("text", "json"), default="text")
@@ -56,7 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", help="reconstruct a shuffle element from sequence JSON")
     _add_common(p)
-    p.add_argument("--trunc", type=int, default=6)
     p.add_argument("file", help="path to StandardElement JSON, or - for stdin")
 
     p = sub.add_parser("count-shuffles", help="count (m,n)-shuffles or mixable shuffles")
@@ -97,8 +97,17 @@ def _gens_list(args) -> list[str]:
     return [g for g in (s.strip() for s in args.gens.split(",")) if g]
 
 
-def _weight(args) -> Weight:
-    return Weight.of(parse_polynomial(args.weight))
+def _weight(args, text: str | None = None) -> Weight:
+    """The weight ``--weight`` (or ``text``) names. A symbol that is also a
+    declared generator would print the same as that generator, so it is
+    refused."""
+    poly = parse_polynomial(args.weight if text is None else text)
+    gens = set(_gens_list(args))
+    for mono, _ in poly.items():
+        for var, _ in mono.exponents:
+            if var.name in gens:
+                raise ValueError(f"weight symbol {var.name!r} names a declared generator")
+    return Weight.of(poly)
 
 
 def _emit_element(elem, args) -> None:
@@ -115,8 +124,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    elem = eval_expr(parse_expr(args.expr, _gens_list(args)), _weight(args))
-    seq = to_standard(elem, args.trunc, _weight(args))
+    weight = _weight(args)
+    elem = eval_expr(parse_expr(args.expr, _gens_list(args)), weight)
+    seq = to_standard(elem, args.trunc, weight)
     _emit_element(seq, args)
     return 0
 
@@ -134,13 +144,12 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_count_shuffles(args) -> int:
+    counts = mixable_counts(args.m, args.n)
     if args.mixable:
-        hist = mixable_histogram(args.m, args.n)
-        total = sum(hist.values())
-        print(f"total: {total}")
-        print("histogram: {" + ", ".join(f"{k}: {hist[k]}" for k in sorted(hist)) + "}")
+        print(f"total: {sum(counts.values())}")
+        print("histogram: {" + ", ".join(f"{k}: {c}" for k, c in counts.items()) + "}")
     else:
-        print(f"total: {len(enumerate_shuffles(args.m, args.n))}")
+        print(f"total: {counts[0]}")
     return 0
 
 
@@ -180,23 +189,16 @@ def _cmd_complete_mul(args) -> int:
 
 def _cmd_baxter_check(args) -> int:
     weight = _weight(args)
-    check_weight = weight if args.check_weight is None else Weight.of(
-        parse_polynomial(args.check_weight)
-    )
+    check_weight = weight if args.check_weight is None else _weight(args, args.check_weight)
     gens = _gens_list(args)
+    target = ShuffleSelfTarget(weight)
     rng = random.Random(args.seed)
     failures = 0
     for _ in range(args.trials):
         u = random_shuffle_element(rng, gens, max_len=args.max_len)
         v = random_shuffle_element(rng, gens, max_len=args.max_len)
         w = random_shuffle_element(rng, gens, max_len=args.max_len)
-        lhs = shuffle_product(baxter_operator(u), baxter_operator(v), weight)
-        rhs = (
-            baxter_operator(shuffle_product(u, baxter_operator(v), weight))
-            + baxter_operator(shuffle_product(v, baxter_operator(u), weight))
-            + baxter_operator(shuffle_product(u, v, weight)).scale(check_weight.value)
-        )
-        if lhs != rhs:
+        if not baxter_identity_holds(target, u, v, lam=check_weight.value):
             failures += 1
             continue
         left = shuffle_product(shuffle_product(u, v, weight), w, weight)

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import DivisorZero, ExprSyntaxError, NamespaceViolation, NotDivisible
 
@@ -84,9 +84,6 @@ class Monomial:
     @property
     def total_degree(self) -> int:
         return sum(e for _, e in self.exponents)
-
-    def variables(self) -> Iterator[Variable]:
-        return (v for v, _ in self.exponents)
 
     def has_namespace(self, ns: Namespace) -> bool:
         return any(v.namespace is ns for v, _ in self.exponents)
@@ -196,13 +193,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def is_constant(self) -> bool:
-        return all(m.is_unit for m in self._terms)
-
-    def constant_term(self) -> int:
-        return self._terms.get(_UNIT_MONOMIAL, 0)
-
     def items(self) -> Iterable[tuple[Monomial, int]]:
         return self._terms.items()
 
@@ -212,11 +202,6 @@ class Polynomial:
     def leading_term(self) -> tuple[Monomial, int]:
         mono = max(self._terms, key=MONOMIAL_KEY)
         return mono, self._terms[mono]
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(m.total_degree for m in self._terms)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -203,10 +203,6 @@ class HurwitzSeries:
         return HurwitzSeries([parse_polynomial(part) for part in body.split(",")])
 
 
-def hurwitz_mul(a: HurwitzSeries, b: HurwitzSeries) -> HurwitzSeries:
-    return a * b
-
-
 def hurwitz_iso(x: CompleteElement, weight: Weight) -> HurwitzSeries:
     """Read a residue class over the scalar base (all-unit words, weight 0)
     as a truncated Hurwitz series: the degree-n all-unit word maps to the n-th

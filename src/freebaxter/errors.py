@@ -60,9 +60,6 @@ class ExprSyntaxError(FreeBaxterError):
 
     def __init__(self, message, line=1, column=1):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.message = message
         self.line = line
         self.column = column
-
-
-class UnknownVariable(FreeBaxterError):
-    """An identifier could not be resolved to a variable."""

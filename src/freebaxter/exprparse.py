@@ -8,6 +8,8 @@ Grammar (whitespace insensitive, ``P`` reserved for the Baxter operator):
     atom := nat | ident | 'P' '(' expr ')' | '(' expr ')'
           | '[' poly ('|' poly)* ']'
 
+where ``poly`` is the polynomial grammar of ``coeffring.parse_polynomial``.
+
 The printer emits the canonical grammar, so printing then parsing is the
 identity on parser output shapes (left-associated chains).
 """
@@ -24,6 +26,7 @@ from .coeffring import (
     Weight,
     coeff_var,
     gen_var,
+    parse_polynomial,
 )
 from .errors import ExprSyntaxError
 from .mixshuffle import baxter_operator, shuffle_product
@@ -94,33 +97,30 @@ _TOKEN = re.compile(
 class _Token:
     kind: str
     text: str
-    line: int
-    column: int
+    offset: int
+
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of a character offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        chunk = m.group(0)
+            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
         if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
+            tokens.append(_Token(m.lastgroup, m.group(0), pos))
         pos = m.end()
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str, gens: Iterable[str]):
+        self.text = text
         self.tokens = _tokenize(text)
         self.gens = frozenset(gens)
         self.idx = 0
@@ -128,14 +128,20 @@ class _Parser:
     def _peek(self) -> _Token | None:
         return self.tokens[self.idx] if self.idx < len(self.tokens) else None
 
+    def _offset(self) -> int:
+        """Offset of the next token, or the end of the last one."""
+        tok = self._peek()
+        if tok is not None:
+            return tok.offset
+        last = self.tokens[-1] if self.tokens else None
+        return last.offset + len(last.text) if last else 0
+
     def _error(self, message: str):
         tok = self._peek()
+        position = _line_col(self.text, self._offset())
         if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            col = last.column + len(last.text) if last else 1
-            raise ExprSyntaxError(message + " (at end of input)", line, col)
-        raise ExprSyntaxError(f"{message}, found {tok.text!r}", tok.line, tok.column)
+            raise ExprSyntaxError(message + " (at end of input)", *position)
+        raise ExprSyntaxError(f"{message}, found {tok.text!r}", *position)
 
     def _accept(self, kind: str, text: str | None = None) -> _Token | None:
         tok = self._peek()
@@ -214,57 +220,16 @@ class _Parser:
         self._error("expected an expression")
 
     def word_factor(self) -> Polynomial:
-        """A polynomial inside word brackets: signed terms of *-joined
-        variable powers with optional integer coefficients."""
-        result = Polynomial.zero()
-        sign = -1 if self._accept("sym", "-") else 1
-        if sign == 1:
-            self._accept("sym", "+")
-        result = result + sign * self._poly_term()
-        while True:
-            if self._accept("sym", "+"):
-                result = result + self._poly_term()
-            elif self._peek() and self._peek().text == "-" and self._peek().kind == "sym":
-                self.idx += 1
-                result = result - self._poly_term()
-            else:
-                return result
-
-    def _poly_term(self) -> Polynomial:
-        tok = self._peek()
-        if tok is None:
-            self._error("expected a polynomial term")
-        coeff = 1
-        mono = Monomial.unit()
-        if tok.kind == "nat":
-            coeff = int(tok.text)
+        """One factor of a word literal: the source text up to the next
+        bracket, parenthesis or bar, read by ``parse_polynomial``."""
+        start = self._offset()
+        while (tok := self._peek()) is not None and (tok.kind != "sym" or tok.text in "-+*^"):
             self.idx += 1
-            while self._accept("sym", "*"):
-                mono = mono * self._poly_varpow()
-        elif tok.kind == "ident":
-            mono = self._poly_varpow()
-            while self._accept("sym", "*"):
-                mono = mono * self._poly_varpow()
-        else:
-            self._error("expected a polynomial term")
-        return Polynomial({mono: coeff})
-
-    def _poly_varpow(self) -> Monomial:
-        tok = self._peek()
-        if tok is None or tok.kind != "ident":
-            self._error("expected a variable name")
-        self.idx += 1
-        var = gen_var(tok.text) if tok.text in self.gens else coeff_var(tok.text)
-        exp = 1
-        if self._accept("sym", "^"):
-            etok = self._peek()
-            if etok is None or etok.kind != "nat":
-                self._error("expected an exponent")
-            self.idx += 1
-            exp = int(etok.text)
-            if exp <= 0:
-                self._error("exponent must be positive")
-        return Monomial.of(var, exp)
+        try:
+            return parse_polynomial(self.text[start:self._offset()], self.gens)
+        except ExprSyntaxError as exc:
+            position = _line_col(self.text, start + exc.column - 1)
+            raise ExprSyntaxError(exc.message, *position) from None
 
 
 def parse_expr(text: str, gens: Iterable[str] = ()) -> ExprNode:

@@ -96,6 +96,15 @@ def enumerate_mixable(m: int, n: int) -> tuple[MixableShuffle, ...]:
     return tuple(result)
 
 
+def mixable_counts(m: int, n: int) -> dict[int, int]:
+    """Closed form of ``mixable_histogram``: C(m+n-k, n) * C(n, k) mixable
+    (m,n)-shuffles merge k pairs, for k = 0..min(m, n); k = 0 counts the
+    plain shuffles."""
+    if m < 0 or n < 0:
+        raise ValueError("block sizes must be nonnegative")
+    return {k: binomial(m + n - k, n) * binomial(n, k) for k in range(min(m, n) + 1)}
+
+
 def mixable_histogram(m: int, n: int) -> dict[int, int]:
     """Counts of mixable (m,n)-shuffles by number of merged pairs."""
     hist: dict[int, int] = {}
@@ -163,16 +172,10 @@ def unit_word(length: int) -> TensorWord:
 
 def unit_power_product(m: int, n: int, weight: Weight) -> ShuffleElement:
     """Closed form for the product of the all-unit words of degrees m and n."""
-    terms: dict[TensorWord, Polynomial] = {}
-    for k in range(m + 1):
-        count = binomial(m + n - k, n) * binomial(n, k)
-        if count == 0:
-            continue
-        coeff = count * weight.value**k
-        word = unit_word(m + n + 1 - k)
-        prev = terms.get(word)
-        terms[word] = coeff if prev is None else prev + coeff
-    return ShuffleElement(terms)
+    return ShuffleElement({
+        unit_word(m + n + 1 - k): count * weight.value**k
+        for k, count in mixable_counts(m, n).items()
+    })
 
 
 def fil_degree(u: ShuffleElement) -> int | float:
@@ -222,10 +225,6 @@ class APlusElement:
         return f"({self.c}, {self.a})"
 
 
-def aplus_mul(p: APlusElement, q: APlusElement) -> APlusElement:
-    return p * q
-
-
 class BaxterTarget(ABC):
     """A Baxter algebra a homomorphism can be extended into: carrier
     operations, the operator, and images of the generators."""
@@ -264,26 +263,14 @@ class BaxterTarget(ABC):
         Baxter identity; records and returns the outcome (None if the target
         cannot sample elements)."""
         rng = random.Random(seed)
-        probe = self.sample(rng)
-        if probe is None:
+        if self.sample(rng) is None:
             self.verified = None
-            return None
-        ok = True
-        for _ in range(trials):
-            x, y = self.sample(rng), self.sample(rng)
-            lhs = self.mul(self.apply_operator(x), self.apply_operator(y))
-            rhs = self.add(
-                self.add(
-                    self.apply_operator(self.mul(x, self.apply_operator(y))),
-                    self.apply_operator(self.mul(y, self.apply_operator(x))),
-                ),
-                self.scale(self.weight.value, self.apply_operator(self.mul(x, y))),
+        else:
+            self.verified = all(
+                baxter_identity_holds(self, self.sample(rng), self.sample(rng))
+                for _ in range(trials)
             )
-            if lhs != rhs:
-                ok = False
-                break
-        self.verified = ok
-        return ok
+        return self.verified
 
     def monomial_image(self, mono: Monomial):
         """Image of a base-algebra monomial under the induced algebra map:
@@ -298,6 +285,20 @@ class BaxterTarget(ABC):
         if not cpart.is_unit:
             result = self.scale(Polynomial.from_monomial(cpart), result)
         return result
+
+
+def baxter_identity_holds(target: BaxterTarget, x, y, lam: Polynomial | None = None) -> bool:
+    """Whether P(x)P(y) = P(xP(y)) + P(yP(x)) + lam*P(xy) holds in the
+    target; lam defaults to the target's weight."""
+    if lam is None:
+        lam = target.weight.value
+    op, mul = target.apply_operator, target.mul
+    lhs = mul(op(x), op(y))
+    rhs = target.add(
+        target.add(op(mul(x, op(y))), op(mul(y, op(x)))),
+        target.scale(lam, op(mul(x, y))),
+    )
+    return lhs == rhs
 
 
 class ScalarBaxterTarget(BaxterTarget):

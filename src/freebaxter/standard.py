@@ -123,10 +123,6 @@ class StandardElement:
         )
 
 
-def standard_mul(s: StandardElement, t: StandardElement) -> StandardElement:
-    return s * t
-
-
 def gamma(k: int, trunc: int) -> StandardElement:
     """The basis sequence with the identity in slot k; zero if k > trunc."""
     if k < 1:

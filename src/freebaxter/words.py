@@ -52,7 +52,8 @@ class TensorWord:
         return "[" + "|".join(str(f) for f in self.factors) + "]"
 
 
-def _word_cmp(a: TensorWord, b: TensorWord) -> int:
+def _word_cmp(a: TensorWord | AbarWord, b: TensorWord | AbarWord) -> int:
+    """The one word order, for both word kinds: length, then factorwise graded-lex."""
     if len(a.factors) != len(b.factors):
         return 1 if len(a.factors) > len(b.factors) else -1
     for fa, fb in zip(a.factors, b.factors):
@@ -96,19 +97,6 @@ def abar_normalize(factors: Sequence[Monomial]) -> AbarWord:
     return AbarWord(tuple(factors[:end]))
 
 
-def _abar_cmp(a: AbarWord, b: AbarWord) -> int:
-    if len(a.factors) != len(b.factors):
-        return 1 if len(a.factors) > len(b.factors) else -1
-    for fa, fb in zip(a.factors, b.factors):
-        c = _mono_cmp(fa, fb)
-        if c:
-            return c
-    return 0
-
-
-ABAR_KEY = cmp_to_key(_abar_cmp)
-
-
 def _check_scalar(c: Polynomial) -> Polynomial:
     if c.has_namespace(Namespace.GENERATOR):
         raise NamespaceViolation(f"scalar {c} contains generator variables")
@@ -133,7 +121,6 @@ class _LinearElement:
     """Shared free-module plumbing for word linear combinations."""
 
     __slots__ = ("_terms",)
-    _word_key = None  # set by subclasses
 
     def __init__(self, terms: Mapping | None = None):
         self._terms = _canonical(terms) if terms else {}
@@ -183,7 +170,7 @@ class _LinearElement:
         return hash(frozenset(self._terms.items()))
 
     def _sorted_words(self):
-        return sorted(self._terms, key=type(self)._word_key, reverse=True)
+        return sorted(self._terms, key=WORD_KEY, reverse=True)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -227,8 +214,6 @@ class ShuffleElement(_LinearElement):
     """A finite linear combination of tensor words with coefficient-namespace
     polynomial scalars: an element of the graded shuffle module."""
 
-    _word_key = staticmethod(WORD_KEY)
-
     @staticmethod
     def from_word(word: TensorWord, coeff=1) -> "ShuffleElement":
         return ShuffleElement({word: Polynomial._coerce(coeff)})
@@ -262,18 +247,10 @@ class ShuffleElement(_LinearElement):
             {w: c for w, c in self._terms.items() if w.degree == degree}
         )
 
-    def max_degree(self) -> int:
-        """Largest word degree in the support; -1 for zero."""
-        if not self._terms:
-            return -1
-        return max(w.degree for w in self._terms)
-
 
 class AbarElement(_LinearElement):
     """A finite linear combination of direct-limit words; multiplication pads
     the shorter word with units and multiplies factorwise."""
-
-    _word_key = staticmethod(ABAR_KEY)
 
     @staticmethod
     def from_word(word: AbarWord, coeff=1) -> "AbarElement":
@@ -314,18 +291,6 @@ class AbarElement(_LinearElement):
     def exact_div_scalar(self, d: Polynomial) -> "AbarElement":
         """Divide every coefficient exactly by d; raises NotDivisible."""
         return AbarElement({w: poly_exact_div(c, d) for w, c in self._terms.items()})
-
-
-def abar_mul(u: AbarElement, v: AbarElement) -> AbarElement:
-    return u * v
-
-
-def element_add(u, v):
-    return u + v
-
-
-def scalar_mul(c, u):
-    return u.scale(c)
 
 
 def expand_word_factors(

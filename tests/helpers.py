@@ -10,15 +10,15 @@ import itertools
 import random
 from collections import Counter
 
+import freebaxter
 from freebaxter import (
     Monomial,
     Polynomial,
     ShuffleElement,
+    ShuffleSelfTarget,
     Weight,
-    baxter_operator,
     coeff_var,
     gen_var,
-    shuffle_product,
 )
 from freebaxter.exprparse import (
     Add,
@@ -86,13 +86,7 @@ def brute_shuffles(m: int, n: int) -> set[tuple[int, ...]]:
 
 
 def baxter_identity_holds(u: ShuffleElement, v: ShuffleElement, weight: Weight) -> bool:
-    lhs = shuffle_product(baxter_operator(u), baxter_operator(v), weight)
-    rhs = (
-        baxter_operator(shuffle_product(u, baxter_operator(v), weight))
-        + baxter_operator(shuffle_product(v, baxter_operator(u), weight))
-        + baxter_operator(shuffle_product(u, v, weight)).scale(weight.value)
-    )
-    return lhs == rhs
+    return freebaxter.baxter_identity_holds(ShuffleSelfTarget(weight), u, v)
 
 
 # -- random AST generation -----------------------------------------------------

@@ -28,7 +28,6 @@ from freebaxter import (
     gamma,
     gen_var,
     hurwitz_iso,
-    hurwitz_mul,
     mixable_histogram,
     parse_expr,
     prefix_sum_operator,
@@ -142,7 +141,7 @@ def _random_scalar_class(rng, trunc):
 def test_acceptance_07_hurwitz():
     for m in range(8):
         for n in range(8 - m):
-            lhs = hurwitz_mul(HurwitzSeries.basis(m, 8), HurwitzSeries.basis(n, 8))
+            lhs = HurwitzSeries.basis(m, 8) * HurwitzSeries.basis(n, 8)
             expected = HurwitzSeries(
                 [binomial(m + n, n) * e for e in HurwitzSeries.basis(m + n, 8).entries]
             )
@@ -151,8 +150,8 @@ def test_acceptance_07_hurwitz():
     for _ in range(50):
         x = _random_scalar_class(rng, 8)
         y = _random_scalar_class(rng, 8)
-        assert hurwitz_iso(complete_mul(x, y, ZERO), ZERO) == hurwitz_mul(
-            hurwitz_iso(x, ZERO), hurwitz_iso(y, ZERO)
+        assert hurwitz_iso(complete_mul(x, y, ZERO), ZERO) == (
+            hurwitz_iso(x, ZERO) * hurwitz_iso(y, ZERO)
         )
         assert hurwitz_iso(x + y, ZERO) == hurwitz_iso(x, ZERO) + hurwitz_iso(y, ZERO)
     _report(7, "basis convolution products and series identification at weight 0")

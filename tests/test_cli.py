@@ -1,6 +1,16 @@
 import json
+import math
+import time
 
-from freebaxter import ShuffleElement, Weight, to_standard
+import pytest
+
+from freebaxter import (
+    ShuffleElement,
+    Weight,
+    enumerate_shuffles,
+    mixable_histogram,
+    to_standard,
+)
 from freebaxter.cli import main
 from freebaxter.exprparse import eval_expr, parse_expr
 
@@ -97,6 +107,50 @@ def test_count_shuffles(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "total: 3"
     assert lines[1] == "histogram: {0: 2, 1: 1}"
+
+
+def test_count_shuffles_matches_enumeration(capsys):
+    for m in range(6):
+        for n in range(6):
+            code, out, _ = run(capsys, "count-shuffles", str(m), str(n))
+            assert (code, out) == (0, f"total: {len(enumerate_shuffles(m, n))}\n")
+            hist = mixable_histogram(m, n)
+            body = ", ".join(f"{k}: {hist[k]}" for k in sorted(hist))
+            code, out, _ = run(capsys, "count-shuffles", "--mixable", str(m), str(n))
+            assert (code, out) == (0, f"total: {sum(hist.values())}\nhistogram: {{{body}}}\n")
+
+
+def test_count_shuffles_large_is_immediate(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "count-shuffles", "30", "30", "--mixable")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    # the mixable (m,n)-shuffles number the Delannoy number D(m,n)
+    delannoy = sum(math.comb(30, k) ** 2 * 2**k for k in range(31))
+    assert out.splitlines()[0] == f"total: {delannoy}"
+
+
+@pytest.mark.parametrize("mode", [(), ("--mixable",)])
+def test_count_shuffles_negative_exit_2(capsys, mode):
+    code, _, err = run(capsys, "count-shuffles", *mode, "-1", "2")
+    assert code == 2
+    assert "nonnegative" in err
+
+
+@pytest.mark.parametrize("argv, symbol", [
+    (("eval", "--weight", "x1", "P(x1)*P(x1)"), "x1"),
+    (("phi", "--weight", "lam + x3", "[x1]"), "x3"),
+    (("baxter-check", "--trials", "1", "--check-weight", "2*x2"), "x2"),
+])
+def test_weight_naming_a_generator_exit_2(capsys, argv, symbol):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"error: config: weight symbol '{symbol}'" in err
+
+
+def test_weight_may_name_an_undeclared_generator(capsys):
+    code, out, _ = run(capsys, "eval", "--gens", "y", "--weight", "x1", "P(y)*P(y)")
+    assert (code, out) == (0, "2*[1|y|y] + x1*[1|y^2]\n")
 
 
 def test_unit_product_golden(capsys):

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freebaxter import (
     ExprSyntaxError,
@@ -8,13 +10,13 @@ from freebaxter import (
     Polynomial,
     ShuffleElement,
     TensorWord,
-    UnknownVariable,
     Weight,
     baxter_operator,
     coeff_var,
     eval_expr,
     gen_var,
     parse_expr,
+    parse_polynomial,
     print_expr,
     shuffle_product,
 )
@@ -69,6 +71,30 @@ def test_parse_reports_position():
         parse_expr("x1 +", GENS)
 
 
+@pytest.mark.parametrize("text, position", [
+    ("[x1|x2 ^]", (1, 9)),
+    ("[x1\n|2 x2]", (2, 4)),
+])
+def test_word_factor_error_position_is_absolute(text, position):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_expr(text, GENS)
+    assert (exc.value.line, exc.value.column) == position
+
+
+_vars = st.sampled_from([coeff_var("lam"), coeff_var("c1"), gen_var("x1"), gen_var("x2")])
+_monomials = st.dictionaries(_vars, st.integers(1, 3), max_size=2).map(Monomial.make)
+_polys = st.dictionaries(_monomials, st.integers(-5, 5), max_size=4).map(Polynomial)
+
+
+@settings(max_examples=200)
+@given(_polys, _polys)
+def test_word_factors_use_the_polynomial_grammar(p, q):
+    assert parse_expr(f"[{p}]", GENS) == WordLit((parse_polynomial(str(p), GENS),))
+    assert parse_expr(f"[{p} | {q}]", GENS) == WordLit(
+        (parse_polynomial(str(p), GENS), parse_polynomial(str(q), GENS))
+    )
+
+
 def test_unknown_variable_namespacing():
     # identifiers outside the declared generator set land in the
     # coefficient namespace, so there is no syntax error here
@@ -76,7 +102,7 @@ def test_unknown_variable_namespacing():
     ((word, coeff),) = elem.terms()
     assert coeff == Polynomial.from_variable(coeff_var("c9"))
     assert word == TensorWord((X1,))
-    with pytest.raises((ExprSyntaxError, UnknownVariable)):
+    with pytest.raises(ExprSyntaxError):
         parse_expr("x1 $ x2", GENS)
 
 

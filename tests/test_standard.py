@@ -12,12 +12,14 @@ from freebaxter import (
     NotInImage,
     Polynomial,
     ShuffleElement,
+    SequenceTarget,
     StandardElement,
     TensorWord,
     TruncMismatch,
     Weight,
     WeightZero,
     abar_normalize,
+    baxter_identity_holds,
     baxter_operator,
     coeff_var,
     fil_degree,
@@ -29,7 +31,6 @@ from freebaxter import (
     prefix_sum_preimage,
     seq_degree,
     shuffle_product,
-    standard_mul,
     to_standard,
 )
 from freebaxter.randgen import random_shuffle_element, random_standard_element
@@ -77,7 +78,7 @@ def test_generator_sequence_staircase():
 def test_staircase_sequences_multiply_pointwise():
     t1 = generator_sequence(Polynomial.from_variable(gen_var("x1")), 4)
     t2 = generator_sequence(Polynomial.from_variable(gen_var("x2")), 4)
-    product = standard_mul(t1, t2)
+    product = t1 * t2
     assert product == generator_sequence(
         Polynomial.from_variable(gen_var("x1")) * Polynomial.from_variable(gen_var("x2")),
         4,
@@ -100,14 +101,7 @@ def test_prefix_sum_operator_baxter_identity():
     for _ in range(40):
         s = random_standard_element(rng, trunc=5)
         t = random_standard_element(rng, trunc=5)
-        ps, pt = prefix_sum_operator(s, LAM), prefix_sum_operator(t, LAM)
-        lhs = ps * pt
-        rhs = (
-            prefix_sum_operator(s * pt, LAM)
-            + prefix_sum_operator(t * ps, LAM)
-            + prefix_sum_operator(s * t, LAM).scale(LAM.value)
-        )
-        assert lhs == rhs
+        assert baxter_identity_holds(SequenceTarget(5, LAM), s, t)
 
 
 def test_to_standard_generator_word():
@@ -219,7 +213,7 @@ def test_prefix_sum_preimage_degree_too_low():
 
 def test_standard_trunc_mismatch():
     with pytest.raises(TruncMismatch):
-        standard_mul(StandardElement.identity(3), StandardElement.identity(4))
+        StandardElement.identity(3) * StandardElement.identity(4)
 
 
 def test_standard_json_roundtrip():
