@@ -11,7 +11,7 @@ import json
 import random
 import sys
 
-from .coeffring import Weight, parse_polynomial
+from .coeffring import Weight, parse_scalar
 from .completion import CompleteElement, HurwitzSeries, complete_mul
 from .errors import ExprSyntaxError, FreeBaxterError
 from .exprparse import eval_expr, parse_expr
@@ -65,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mixable", action="store_true")
 
     p = sub.add_parser("unit-product",
-                       help="closed form vs brute force for the all-unit word product")
+                       help="closed form vs the recursive product for the all-unit words")
     _add_common(p)
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
@@ -98,16 +98,10 @@ def _gens_list(args) -> list[str]:
 
 
 def _weight(args, text: str | None = None) -> Weight:
-    """The weight ``--weight`` (or ``text``) names. A symbol that is also a
-    declared generator would print the same as that generator, so it is
-    refused."""
-    poly = parse_polynomial(args.weight if text is None else text)
-    gens = set(_gens_list(args))
-    for mono, _ in poly.items():
-        for var, _ in mono.exponents:
-            if var.name in gens:
-                raise ValueError(f"weight symbol {var.name!r} names a declared generator")
-    return Weight.of(poly)
+    """The weight ``--weight`` (or ``text``) names; a symbol that is also a
+    declared generator is refused."""
+    text = args.weight if text is None else text
+    return Weight.of(parse_scalar(text, _gens_list(args), "weight"))
 
 
 def _emit_element(elem, args) -> None:
@@ -156,9 +150,9 @@ def _cmd_count_shuffles(args) -> int:
 def _cmd_unit_product(args) -> int:
     weight = _weight(args)
     closed = unit_power_product(args.m, args.n, weight)
-    brute = word_product(unit_word(args.m + 1), unit_word(args.n + 1), weight)
+    product = word_product(unit_word(args.m + 1), unit_word(args.n + 1), weight)
     _emit_element(closed, args)
-    agree = closed == brute
+    agree = closed == product
     print(f"agree: {'true' if agree else 'false'}")
     return 0 if agree else 1
 

@@ -352,7 +352,8 @@ def _poly_tokens(text: str) -> list[tuple[str, str, int]]:
             stripped = text[pos:].lstrip()
             if not stripped:
                 break
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", column=pos + 1)
+            column = len(text) - len(stripped) + 1
+            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", column=column)
         pos = m.end()
         if m.group("nat") is not None:
             tokens.append(("nat", m.group("nat"), m.start("nat")))
@@ -437,3 +438,16 @@ def parse_polynomial(text: str, gens: Iterable[str] = ()) -> Polynomial:
         term = parse_term()
         result = result - term if value == "-" else result + term
     return result
+
+
+def parse_scalar(text: str, gens: Iterable[str], what: str) -> Polynomial:
+    """Parse a coefficient-namespace polynomial (a weight or a coefficient).
+    A symbol that is also one of ``gens`` would print the same as that
+    generator, so it is refused with ``ValueError``; ``what`` names the
+    value in the message."""
+    poly = parse_polynomial(text, gens)
+    for mono, _ in poly.items():
+        for var, _ in mono.exponents:
+            if var.namespace is Namespace.GENERATOR:
+                raise ValueError(f"{what} symbol {var.name!r} names a declared generator")
+    return poly

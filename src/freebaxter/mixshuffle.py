@@ -1,9 +1,17 @@
 """Mixable shuffles and the weighted shuffle product.
 
-The product of two tensor words enumerates all (m,n)-shuffles, each optionally
-merging any subset of its admissible adjacent pairs (a left-block factor
-immediately followed by a right-block factor); every merge multiplies the two
-factors together and contributes one power of the weight.
+By the paper's definition the product of two tensor words sums over all
+mixable (m,n)-shuffles: (m,n)-shuffles, each merging any subset of its
+admissible adjacent pairs (a left-block factor immediately followed by a
+right-block factor); every merge multiplies the two factors together and
+contributes one power of the weight. That sum is the quasi-shuffle product
+
+    (a.a') * (b.b') = a(a' * b.b') + b(a.a' * b') + lam.ab(a' * b'),
+
+which ``word_product`` computes bottom-up over suffix pairs, merging equal
+words as they form. The enumeration (``enumerate_shuffles``,
+``enumerate_mixable``, ``mixable_histogram``) is kept as the paper's
+definition and serves as the test oracle; it is not on the product path.
 """
 
 from __future__ import annotations
@@ -12,7 +20,6 @@ import itertools
 import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .coeffring import (
@@ -25,7 +32,7 @@ from .coeffring import (
     gen_var,
 )
 from .errors import MissingGeneratorImage, NamespaceViolation, WeightMismatch
-from .words import ShuffleElement, TensorWord
+from .words import ShuffleElement, TensorWord, _check_scalar
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,7 +60,6 @@ class MixableShuffle:
     merged: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
 def enumerate_shuffles(m: int, n: int) -> tuple[ShufflePermutation, ...]:
     """All (m,n)-shuffles, ordered lexicographically by image sequence."""
     if m < 0 or n < 0:
@@ -83,7 +89,6 @@ def admissible_pairs(sigma: ShufflePermutation) -> tuple[int, ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def enumerate_mixable(m: int, n: int) -> tuple[MixableShuffle, ...]:
     """All mixable (m,n)-shuffles: shuffles in lex order, merge subsets in
     binary-counter order over the sorted admissible-pair list."""
@@ -113,46 +118,61 @@ def mixable_histogram(m: int, n: int) -> dict[int, int]:
     return hist
 
 
-@lru_cache(maxsize=None)
-def _word_product_cached(x: TensorWord, y: TensorWord, lam: Polynomial) -> ShuffleElement:
-    m = x.degree
-    n = y.degree
-    head = x.factors[0] * y.factors[0]
-    # u[k] for k = 1..m+n: left block then right block
-    u = (None,) + x.factors[1:] + y.factors[1:]
-    terms: dict[TensorWord, Polynomial] = {}
-    for ms in enumerate_mixable(m, n):
-        factors = [head]
-        merged = set(ms.merged)
-        k = 1
-        while k <= m + n:
-            f = u[ms.sigma(k)]
-            if k in merged:
-                f = f * u[ms.sigma(k + 1)]
-                k += 2
-            else:
-                k += 1
-            factors.append(f)
-        word = TensorWord(tuple(factors))
-        coeff = lam ** len(ms.merged)
-        prev = terms.get(word)
-        terms[word] = coeff if prev is None else prev + coeff
-    return ShuffleElement(terms)
-
-
 def word_product(x: TensorWord, y: TensorWord, weight: Weight) -> ShuffleElement:
-    """The weighted mixable-shuffle product of two basis words."""
-    return _word_product_cached(x, y, weight.value)
+    """The weighted mixable-shuffle product of two basis words.
+
+    The heads multiply; the tails a = x[1:], b = y[1:] take the quasi-shuffle
+    product. Row i of the table holds a[i:] * b[j:] for every j, as words of
+    letter ids with integer counts; only rows i and i+1 are alive at once. A
+    word of the product of a and b has merged k = m + n - len(word) pairs, so
+    its coefficient is count * lam^k."""
+    a, b = x.factors[1:], y.factors[1:]
+    m, n = len(a), len(b)
+    ids: dict[Monomial, int] = {}
+    aid = [ids.setdefault(f, len(ids)) for f in a]
+    bid = [ids.setdefault(f, len(ids)) for f in b]
+    abid = [[ids.setdefault(f * g, len(ids)) for g in b] for f in a]
+    letters = list(ids)
+
+    below = [{tuple(bid[j:]): 1} for j in range(n + 1)]  # row m: empty a-suffix
+    for i in range(m - 1, -1, -1):
+        ai, merged = aid[i], abid[i]
+        row = [None] * n + [{tuple(aid[i:]): 1}]
+        for j in range(n - 1, -1, -1):
+            cell = {(ai,) + w: c for w, c in below[j].items()}
+            for prefix, source in ((bid[j], row[j + 1]), (merged[j], below[j + 1])):
+                for w, c in source.items():
+                    w = (prefix,) + w
+                    cell[w] = cell.get(w, 0) + c
+            row[j] = cell
+        below = row
+
+    lam = weight.value
+    powers = [Polynomial.one()]
+    for _ in range(min(m, n)):
+        powers.append(powers[-1] * lam)
+    head = (x.factors[0] * y.factors[0],)
+    terms = {}
+    for w, count in below[0].items():
+        power = powers[m + n - len(w)]
+        terms[TensorWord(head + tuple(letters[t] for t in w))] = Polynomial(
+            {mono: coeff * count for mono, coeff in power.items()}
+        )
+    return ShuffleElement(terms)
 
 
 def shuffle_product(u: ShuffleElement, v: ShuffleElement, weight: Weight) -> ShuffleElement:
     """Bilinear extension of the word product; commutative, associative,
     unital with identity [1]."""
-    result = ShuffleElement()
+    terms: dict[TensorWord, Polynomial] = {}
     for wu, cu in u.terms():
         for wv, cv in v.terms():
-            result = result + word_product(wu, wv, weight).scale(cu * cv)
-    return result
+            scalar = _check_scalar(cu * cv)
+            for word, coeff in word_product(wu, wv, weight).terms():
+                coeff = coeff * scalar
+                prev = terms.get(word)
+                terms[word] = coeff if prev is None else prev + coeff
+    return ShuffleElement(terms)
 
 
 def baxter_operator(u: ShuffleElement) -> ShuffleElement:

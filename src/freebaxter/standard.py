@@ -33,6 +33,7 @@ from .words import (
     TensorWord,
     abar_normalize,
     expand_word_factors,
+    json_field,
 )
 
 
@@ -119,7 +120,7 @@ class StandardElement:
     @staticmethod
     def from_json_obj(obj: dict, gens: Sequence[str] = ()) -> "StandardElement":
         return StandardElement(
-            [AbarElement.from_json_obj(e, gens) for e in obj["entries"]]
+            [AbarElement.from_json_obj(e, gens) for e in json_field(obj, "entries")]
         )
 
 

@@ -19,6 +19,7 @@ from .coeffring import (
     Polynomial,
     _mono_cmp,
     parse_polynomial,
+    parse_scalar,
     poly_exact_div,
 )
 from .errors import KindMismatch, NamespaceViolation
@@ -104,17 +105,35 @@ def _check_scalar(c: Polynomial) -> Polynomial:
 
 
 def _canonical(terms: Mapping) -> dict:
+    """The nonzero terms, coefficients as polynomials; a mapping's words are
+    distinct already, so nothing is merged."""
     out = {}
     for word, coeff in terms.items():
         coeff = Polynomial._coerce(coeff)
         if not coeff.is_zero:
-            prev = out.get(word)
-            total = coeff if prev is None else prev + coeff
-            if total.is_zero:
-                out.pop(word, None)
-            else:
-                out[word] = total
+            out[word] = coeff
     return out
+
+
+def json_field(obj, key: str):
+    """``obj[key]`` for a JSON object; a missing field raises ``ValueError``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"JSON object has no {key!r} field")
+    return obj[key]
+
+
+def _json_terms(obj, gens: Iterable[str]) -> list[tuple[Polynomial, list[Polynomial]]]:
+    """The (coefficient, word factors) pairs of a ``to_json_obj`` object. A
+    coefficient naming one of ``gens`` is refused, as it would print as that
+    generator."""
+    gens = tuple(gens)
+    return [
+        (
+            parse_scalar(json_field(entry, "coeff"), gens, "coefficient"),
+            [parse_polynomial(f, gens) for f in json_field(entry, "word")],
+        )
+        for entry in json_field(obj, "terms")
+    ]
 
 
 class _LinearElement:
@@ -235,11 +254,8 @@ class ShuffleElement(_LinearElement):
     @staticmethod
     def from_json_obj(obj: dict, gens: Iterable[str] = ()) -> "ShuffleElement":
         result = ShuffleElement()
-        for entry in obj["terms"]:
-            factors = [parse_polynomial(f, gens) for f in entry["word"]]
-            result = result + ShuffleElement.from_factors(
-                factors, parse_polynomial(entry["coeff"])
-            )
+        for coeff, factors in _json_terms(obj, gens):
+            result = result + ShuffleElement.from_factors(factors, coeff)
         return result
 
     def homogeneous_component(self, degree: int) -> "ShuffleElement":
@@ -263,9 +279,7 @@ class AbarElement(_LinearElement):
     @staticmethod
     def from_json_obj(obj: dict, gens: Iterable[str] = ()) -> "AbarElement":
         result = AbarElement()
-        for entry in obj["terms"]:
-            factors = [parse_polynomial(f, gens) for f in entry["word"]]
-            coeff = parse_polynomial(entry["coeff"])
+        for coeff, factors in _json_terms(obj, gens):
             for c, monos in expand_word_factors(factors):
                 result = result + AbarElement({abar_normalize(monos): c * coeff})
         return result

@@ -16,8 +16,10 @@ from freebaxter import (
     Polynomial,
     ShuffleElement,
     ShuffleSelfTarget,
+    TensorWord,
     Weight,
     coeff_var,
+    enumerate_mixable,
     gen_var,
 )
 from freebaxter.exprparse import (
@@ -83,6 +85,34 @@ def brute_shuffles(m: int, n: int) -> set[tuple[int, ...]]:
         ):
             out.add(perm)
     return out
+
+
+def mixable_word_product(x: TensorWord, y: TensorWord, weight: Weight) -> ShuffleElement:
+    """The product of two words by the paper's definition: a sum over every
+    mixable (m,n)-shuffle, each merged pair contributing one power of the
+    weight."""
+    m, n = x.degree, y.degree
+    head = x.factors[0] * y.factors[0]
+    # u[k] for k = 1..m+n: left block then right block
+    u = (None,) + x.factors[1:] + y.factors[1:]
+    terms: dict[TensorWord, Polynomial] = {}
+    for ms in enumerate_mixable(m, n):
+        factors = [head]
+        merged = set(ms.merged)
+        k = 1
+        while k <= m + n:
+            f = u[ms.sigma(k)]
+            if k in merged:
+                f = f * u[ms.sigma(k + 1)]
+                k += 2
+            else:
+                k += 1
+            factors.append(f)
+        word = TensorWord(tuple(factors))
+        coeff = weight.value ** len(ms.merged)
+        prev = terms.get(word)
+        terms[word] = coeff if prev is None else prev + coeff
+    return ShuffleElement(terms)
 
 
 def baxter_identity_holds(u: ShuffleElement, v: ShuffleElement, weight: Weight) -> bool:

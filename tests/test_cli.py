@@ -161,6 +161,13 @@ def test_unit_product_golden(capsys):
     assert lines[1] == "agree: true"
 
 
+def test_unit_product_large_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "unit-product", "30", "30")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out.splitlines()[-1]) == (0, "agree: true")
+
+
 def test_hurwitz_mul(capsys):
     code, out, _ = run(capsys, "hurwitz-mul", "--trunc", "4", "(0,1,0,0)", "(0,0,1,0)")
     assert code == 0
@@ -209,3 +216,31 @@ def test_psi_weight_zero_exit_3(capsys, tmp_path):
     code, _, err = run(capsys, "psi", "--weight", "0", str(path))
     assert code == 3
     assert "WeightZero" in err
+
+
+def _psi_entry(coeff, word=("x1",)):
+    return {"trunc": 2, "entries": [{"terms": [{"coeff": coeff, "word": list(word)}]},
+                                    {"terms": []}]}
+
+
+def test_psi_coefficient_naming_a_generator_exit_2(capsys, tmp_path):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(_psi_entry("x1*lam")))
+    code, out, err = run(capsys, "psi", str(path))
+    assert (code, out) == (2, "")
+    assert "error: config: coefficient symbol 'x1' names a declared generator" in err
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"trunc": 2}, "entries"),
+    ({"trunc": 1, "entries": [{}]}, "terms"),
+    ({"trunc": 1, "entries": [{"terms": [{"word": ["x1"]}]}]}, "coeff"),
+    ({"trunc": 1, "entries": [{"terms": [{"coeff": "lam"}]}]}, "word"),
+])
+def test_psi_malformed_json_exit_2(capsys, tmp_path, obj, field):
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "psi", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config:")
+    assert repr(field) in err

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from freebaxter import (
     DivisorZero,
+    ExprSyntaxError,
     Monomial,
     NotDivisible,
     Polynomial,
@@ -114,3 +115,10 @@ def test_parse_constant_and_zero():
     assert parse_polynomial("0") == Polynomial.zero()
     assert str(Polynomial.zero()) == "0"
     assert parse_polynomial("-5") == Polynomial.from_int(-5)
+
+
+@pytest.mark.parametrize("text, column", [("lam  $", 6), ("$", 1), ("x1 +\t#", 6)])
+def test_parse_error_column_points_at_the_character(text, column):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_polynomial(text)
+    assert exc.value.column == column

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freebaxter import (
     APlusElement,
@@ -29,7 +31,7 @@ from freebaxter import (
     word_product,
 )
 from freebaxter.randgen import random_shuffle_element
-from helpers import GENS, baxter_identity_holds, brute_shuffles
+from helpers import GENS, baxter_identity_holds, brute_shuffles, mixable_word_product
 
 LAM = Weight.default()
 X1 = Monomial.of(gen_var("x1"))
@@ -103,6 +105,59 @@ def test_word_product_unit_case():
         {w(ONE, ONE): LAM.value}
     )
     assert result == expected
+
+
+_LAM_POLY = LAM.value
+ORACLE_WEIGHTS = [
+    LAM,
+    Weight.of(0),
+    Weight.of(2),
+    Weight.of(_LAM_POLY + 1),
+    Weight.of(-3 * _LAM_POLY * _LAM_POLY),
+]
+
+
+def _repeated_word(rng, length):
+    pool = (ONE, X1, X2, X1 * X1)
+    return w(*(rng.choice(pool) for _ in range(length)))
+
+
+def _distinct_words(m, n):
+    gens = [Monomial.of(gen_var(f"x{i}")) for i in range(1, m + n + 3)]
+    return w(*gens[: m + 1]), w(*gens[m + 1 : m + n + 2])
+
+
+@pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=str)
+def test_word_product_matches_mixable_enumeration(weight):
+    rng = random.Random(2000)
+    for m in range(6):
+        for n in range(6):
+            repeated = (_repeated_word(rng, m + 1), _repeated_word(rng, n + 1))
+            for x, y in (_distinct_words(m, n), repeated):
+                assert word_product(x, y, weight) == mixable_word_product(x, y, weight), (x, y)
+
+
+_letters = st.sampled_from([ONE, X1, X2, X3, X1 * X2])
+_short_words = st.lists(_letters, min_size=1, max_size=4).map(lambda fs: w(*fs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_short_words, _short_words, st.sampled_from(ORACLE_WEIGHTS))
+def test_word_product_property_against_enumeration(x, y, weight):
+    assert word_product(x, y, weight) == mixable_word_product(x, y, weight)
+
+
+def test_shuffle_product_cancellation_leaves_no_zero_terms():
+    a = ShuffleElement.from_word(w(ONE, X1, X2))
+    b = ShuffleElement.from_word(w(ONE, X2))
+    product = shuffle_product(a + b, b - a, LAM)
+    assert product == shuffle_product(b, b, LAM) - shuffle_product(a, a, LAM)
+    assert all(not coeff.is_zero for _, coeff in product.terms())
+
+
+def test_word_product_deep_word_has_no_recursion_limit():
+    product = word_product(unit_word(1500), unit_word(3), LAM)
+    assert product == unit_power_product(1499, 2, LAM)
 
 
 def test_shuffle_product_identity_and_degree_zero():

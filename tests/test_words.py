@@ -138,6 +138,23 @@ def test_json_roundtrip():
         assert AbarElement.from_json_obj(obj, gens=("x1", "x2")) == a
 
 
+@pytest.mark.parametrize("cls", [ShuffleElement, AbarElement])
+def test_json_coefficient_naming_a_generator_rejected(cls):
+    obj = {"terms": [{"coeff": "x1*lam", "word": ["1", "x2"]}]}
+    with pytest.raises(ValueError, match="coefficient symbol 'x1'"):
+        cls.from_json_obj(obj, gens=("x1", "x2"))
+    # undeclared, the same name is a coefficient symbol
+    elem = cls.from_json_obj(obj, gens=("x2",))
+    assert [str(c) for _, c in elem.terms()] == ["lam*x1"]
+
+
+@pytest.mark.parametrize("cls", [ShuffleElement, AbarElement])
+@pytest.mark.parametrize("obj", [{}, {"terms": [{"word": ["1"]}]}, {"terms": [{"coeff": "1"}]}])
+def test_json_missing_field_rejected(cls, obj):
+    with pytest.raises(ValueError, match="JSON object has no"):
+        cls.from_json_obj(obj, gens=("x1",))
+
+
 def test_trailing_unit_word_rejected():
     with pytest.raises(ValueError):
         AbarWord((X1, ONE))
