@@ -148,14 +148,8 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        canonical = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff:
-                    canonical[mono] = canonical.get(mono, 0) + coeff
-                    if not canonical[mono]:
-                        del canonical[mono]
-        self._terms = canonical
+        # a mapping's monomials are distinct already: only zeros are dropped
+        self._terms = {m: c for m, c in terms.items() if c} if terms else {}
 
     # -- constructors ------------------------------------------------------
 
@@ -226,9 +220,10 @@ class Polynomial:
         return Polynomial._coerce(other) - self
 
     def __mul__(self, other) -> "Polynomial":
-        if not isinstance(other, (Polynomial, int)):
+        if isinstance(other, int):
+            return Polynomial({m: c * other for m, c in self._terms.items()})
+        if not isinstance(other, Polynomial):
             return NotImplemented
-        other = Polynomial._coerce(other)
         terms: dict[Monomial, int] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -333,6 +328,13 @@ class Weight:
     @property
     def is_zero(self) -> bool:
         return self.value.is_zero
+
+    def powers(self, top: int) -> list[Polynomial]:
+        """The weight powers lam^0 .. lam^top, each one product from the last."""
+        out = [Polynomial.one()]
+        for _ in range(top):
+            out.append(out[-1] * self.value)
+        return out
 
     def __str__(self) -> str:
         return str(self.value)

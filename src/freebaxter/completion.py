@@ -63,11 +63,9 @@ class CompleteElement:
 
     def partial_sum(self, k: int) -> ShuffleElement:
         """The cutoff of this class at degree k: the sum of components <= k."""
-        result = ShuffleElement.zero()
-        for deg, elem in self._components.items():
-            if deg <= k:
-                result = result + elem
-        return result
+        return ShuffleElement.from_terms(
+            term for deg, elem in self._components.items() if deg <= k for term in elem.terms()
+        )
 
     @property
     def is_zero(self) -> bool:

@@ -147,32 +147,25 @@ def word_product(x: TensorWord, y: TensorWord, weight: Weight) -> ShuffleElement
             row[j] = cell
         below = row
 
-    lam = weight.value
-    powers = [Polynomial.one()]
-    for _ in range(min(m, n)):
-        powers.append(powers[-1] * lam)
+    powers = weight.powers(min(m, n))
     head = (x.factors[0] * y.factors[0],)
-    terms = {}
-    for w, count in below[0].items():
-        power = powers[m + n - len(w)]
-        terms[TensorWord(head + tuple(letters[t] for t in w))] = Polynomial(
-            {mono: coeff * count for mono, coeff in power.items()}
-        )
-    return ShuffleElement(terms)
+    return ShuffleElement({
+        TensorWord(head + tuple(letters[t] for t in w)): count * powers[m + n - len(w)]
+        for w, count in below[0].items()
+    })
 
 
 def shuffle_product(u: ShuffleElement, v: ShuffleElement, weight: Weight) -> ShuffleElement:
     """Bilinear extension of the word product; commutative, associative,
     unital with identity [1]."""
-    terms: dict[TensorWord, Polynomial] = {}
-    for wu, cu in u.terms():
-        for wv, cv in v.terms():
-            scalar = _check_scalar(cu * cv)
-            for word, coeff in word_product(wu, wv, weight).terms():
-                coeff = coeff * scalar
-                prev = terms.get(word)
-                terms[word] = coeff if prev is None else prev + coeff
-    return ShuffleElement(terms)
+    def terms():
+        for wu, cu in u.terms():
+            for wv, cv in v.terms():
+                scalar = _check_scalar(cu * cv)
+                for word, coeff in word_product(wu, wv, weight).terms():
+                    yield word, coeff * scalar
+
+    return ShuffleElement.from_terms(terms())
 
 
 def baxter_operator(u: ShuffleElement) -> ShuffleElement:
@@ -192,8 +185,9 @@ def unit_word(length: int) -> TensorWord:
 
 def unit_power_product(m: int, n: int, weight: Weight) -> ShuffleElement:
     """Closed form for the product of the all-unit words of degrees m and n."""
+    powers = weight.powers(min(m, n))
     return ShuffleElement({
-        unit_word(m + n + 1 - k): count * weight.value**k
+        unit_word(m + n + 1 - k): count * powers[k]
         for k, count in mixable_counts(m, n).items()
     })
 
@@ -260,9 +254,6 @@ class BaxterTarget(ABC):
     def one(self): ...
 
     @abstractmethod
-    def add(self, a, b): ...
-
-    @abstractmethod
     def mul(self, a, b): ...
 
     @abstractmethod
@@ -314,10 +305,7 @@ def baxter_identity_holds(target: BaxterTarget, x, y, lam: Polynomial | None = N
         lam = target.weight.value
     op, mul = target.apply_operator, target.mul
     lhs = mul(op(x), op(y))
-    rhs = target.add(
-        target.add(op(mul(x, op(y))), op(mul(y, op(x)))),
-        target.scale(lam, op(mul(x, y))),
-    )
+    rhs = op(mul(x, op(y))) + op(mul(y, op(x))) + target.scale(lam, op(mul(x, y)))
     return lhs == rhs
 
 
@@ -334,9 +322,6 @@ class ScalarBaxterTarget(BaxterTarget):
 
     def one(self):
         return Polynomial.one()
-
-    def add(self, a, b):
-        return a + b
 
     def mul(self, a, b):
         return a * b
@@ -376,9 +361,6 @@ class ShuffleSelfTarget(BaxterTarget):
     def one(self):
         return ShuffleElement.unit()
 
-    def add(self, a, b):
-        return a + b
-
     def mul(self, a, b):
         return shuffle_product(a, b, self.weight)
 
@@ -407,5 +389,5 @@ def extend_hom(target: BaxterTarget, u: ShuffleElement, weight: Weight):
             current = target.mul(
                 target.monomial_image(factor), target.apply_operator(current)
             )
-        result = target.add(result, target.scale(coeff, current))
+        result = result + target.scale(coeff, current)
     return result

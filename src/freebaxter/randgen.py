@@ -36,24 +36,22 @@ def random_word(rng: random.Random, gens: Sequence[str] = DEFAULT_GENS,
 def random_shuffle_element(rng: random.Random, gens: Sequence[str] = DEFAULT_GENS,
                            max_len: int = 4, max_words: int = 3,
                            max_degree: int = 2) -> ShuffleElement:
-    result = ShuffleElement.zero()
+    pairs = []
     for _ in range(rng.randint(1, max_words)):
         coeff = rng.randint(-3, 3)
-        result = result + ShuffleElement.from_word(
-            random_word(rng, gens, max_len, max_degree), coeff
-        )
-    return result
+        pairs.append((random_word(rng, gens, max_len, max_degree), coeff))
+    return ShuffleElement.from_terms(pairs)
 
 
 def random_abar_element(rng: random.Random, gens: Sequence[str] = DEFAULT_GENS,
                         max_len: int = 3, max_degree: int = 2) -> AbarElement:
-    result = AbarElement.zero()
+    pairs = []
     for _ in range(rng.randint(1, 2)):
         factors = tuple(
             random_monomial(rng, gens, max_degree) for _ in range(rng.randint(0, max_len))
         )
-        result = result + AbarElement({abar_normalize(factors): rng.randint(-3, 3)})
-    return result
+        pairs.append((abar_normalize(factors), rng.randint(-3, 3)))
+    return AbarElement.from_terms(pairs)
 
 
 def random_standard_element(rng: random.Random, trunc: int,

@@ -137,13 +137,12 @@ def gamma(k: int, trunc: int) -> StandardElement:
 def generator_sequence(a: Polynomial, trunc: int) -> StandardElement:
     """The staircase sequence of a base-algebra element: entry k carries the
     element in slot k of the direct-limit word, extended linearly."""
-    entries = [AbarElement.zero() for _ in range(trunc)]
-    for scalar, monos in expand_word_factors([a]):
-        (mono,) = monos
-        for k in range(1, trunc + 1):
-            word = abar_normalize((Monomial.unit(),) * (k - 1) + (mono,))
-            entries[k - 1] = entries[k - 1] + AbarElement({word: scalar})
-    return StandardElement(entries)
+    terms = expand_word_factors([a])
+    units = (Monomial.unit(),) * trunc
+    return StandardElement([
+        AbarElement.from_terms((abar_normalize(units[:k] + monos), c) for c, monos in terms)
+        for k in range(trunc)
+    ])
 
 
 def prefix_sum_operator(s: StandardElement, weight: Weight) -> StandardElement:
@@ -170,9 +169,6 @@ class SequenceTarget(BaxterTarget):
 
     def one(self):
         return StandardElement.identity(self.trunc)
-
-    def add(self, a, b):
-        return a + b
 
     def mul(self, a, b):
         return a * b
@@ -214,8 +210,8 @@ def from_standard(s: StandardElement, weight: Weight) -> ShuffleElement:
     if weight.is_zero:
         raise WeightZero("reconstruction requires a nonzero weight")
     remainder = s
-    result = ShuffleElement.zero()
-    for n in range(s.trunc):
+    pairs = []
+    for n, lam_power in enumerate(weight.powers(s.trunc - 1)):
         for j in range(1, n + 1):
             if not remainder.entry(j).is_zero:
                 raise NotInImage(
@@ -224,22 +220,19 @@ def from_standard(s: StandardElement, weight: Weight) -> ShuffleElement:
         lead = remainder.entry(n + 1)
         if lead.is_zero:
             continue
-        lam_power = weight.value**n
-        terms = {}
+        piece = []
         for word, coeff in lead.terms():
             if len(word.factors) > n + 1:
                 raise NotInImage(
                     f"entry {n + 1} contains a word of length {len(word.factors)}"
                 )
-            reduced = poly_exact_div(coeff, lam_power)
             recovered = TensorWord(tuple(reversed(word.padded(n + 1))))
-            terms[recovered] = terms.get(recovered, Polynomial.zero()) + reduced
-        piece = ShuffleElement(terms)
-        result = result + piece
-        remainder = remainder - to_standard(piece, s.trunc, weight)
+            piece.append((recovered, poly_exact_div(coeff, lam_power)))
+        pairs += piece
+        remainder = remainder - to_standard(ShuffleElement.from_terms(piece), s.trunc, weight)
     if not remainder.is_zero:
         raise NotInImage("nonzero residual after peeling every entry")
-    return result
+    return ShuffleElement.from_terms(pairs)
 
 
 def prefix_sum_preimage(s: StandardElement, k: int, weight: Weight) -> StandardElement:

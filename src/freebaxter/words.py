@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
+from itertools import chain, zip_longest
 from typing import Iterable, Mapping, Sequence
 
 from .coeffring import (
@@ -122,22 +123,9 @@ def json_field(obj, key: str):
     return obj[key]
 
 
-def _json_terms(obj, gens: Iterable[str]) -> list[tuple[Polynomial, list[Polynomial]]]:
-    """The (coefficient, word factors) pairs of a ``to_json_obj`` object. A
-    coefficient naming one of ``gens`` is refused, as it would print as that
-    generator."""
-    gens = tuple(gens)
-    return [
-        (
-            parse_scalar(json_field(entry, "coeff"), gens, "coefficient"),
-            [parse_polynomial(f, gens) for f in json_field(entry, "word")],
-        )
-        for entry in json_field(obj, "terms")
-    ]
-
-
 class _LinearElement:
-    """Shared free-module plumbing for word linear combinations."""
+    """Shared free-module plumbing for word linear combinations. A subclass
+    sets ``_word``, the constructor of its words from monomial factors."""
 
     __slots__ = ("_terms",)
 
@@ -147,6 +135,29 @@ class _LinearElement:
     @classmethod
     def zero(cls):
         return cls()
+
+    @classmethod
+    def from_terms(cls, pairs: Iterable[tuple]):
+        """The sum of (word, coefficient) pairs: equal words merge, and words
+        whose coefficients cancel are dropped."""
+        terms = {}
+        for word, coeff in pairs:
+            prev = terms.get(word)
+            terms[word] = coeff if prev is None else prev + coeff
+        return cls(terms)
+
+    @classmethod
+    def from_json_obj(cls, obj: dict, gens: Iterable[str] = ()):
+        """Read a ``to_json_obj`` object, expanding polynomial word factors. A
+        coefficient naming one of ``gens`` is refused, as it would print as
+        that generator."""
+        gens = tuple(gens)
+        pairs = []
+        for entry in json_field(obj, "terms"):
+            coeff = parse_scalar(json_field(entry, "coeff"), gens, "coefficient")
+            factors = [parse_polynomial(f, gens) for f in json_field(entry, "word")]
+            pairs += [(cls._word(monos), c * coeff) for c, monos in expand_word_factors(factors)]
+        return cls.from_terms(pairs)
 
     @property
     def is_zero(self) -> bool:
@@ -160,10 +171,7 @@ class _LinearElement:
             raise KindMismatch(
                 f"cannot add {type(self).__name__} and {type(other).__name__}"
             )
-        terms = dict(self._terms)
-        for word, coeff in other._terms.items():
-            terms[word] = terms.get(word, Polynomial.zero()) + coeff
-        return type(self)(terms)
+        return self.from_terms(chain(self.terms(), other.terms()))
 
     def __neg__(self):
         return type(self)({w: -c for w, c in self._terms.items()})
@@ -233,6 +241,8 @@ class ShuffleElement(_LinearElement):
     """A finite linear combination of tensor words with coefficient-namespace
     polynomial scalars: an element of the graded shuffle module."""
 
+    _word = TensorWord
+
     @staticmethod
     def from_word(word: TensorWord, coeff=1) -> "ShuffleElement":
         return ShuffleElement({word: Polynomial._coerce(coeff)})
@@ -242,21 +252,12 @@ class ShuffleElement(_LinearElement):
         return ShuffleElement.from_word(TensorWord((Monomial.unit(),)))
 
     @staticmethod
-    def from_factors(factors: Sequence[Polynomial], coeff=1) -> "ShuffleElement":
+    def from_factors(factors: Sequence[Polynomial]) -> "ShuffleElement":
         """Expand polynomial word factors multilinearly into monomial words,
         pulling coefficient-namespace content into the scalar."""
-        result = ShuffleElement()
-        for c, monos in expand_word_factors(factors):
-            word = TensorWord(monos)
-            result = result + ShuffleElement({word: c * Polynomial._coerce(coeff)})
-        return result
-
-    @staticmethod
-    def from_json_obj(obj: dict, gens: Iterable[str] = ()) -> "ShuffleElement":
-        result = ShuffleElement()
-        for coeff, factors in _json_terms(obj, gens):
-            result = result + ShuffleElement.from_factors(factors, coeff)
-        return result
+        return ShuffleElement.from_terms(
+            (TensorWord(monos), c) for c, monos in expand_word_factors(factors)
+        )
 
     def homogeneous_component(self, degree: int) -> "ShuffleElement":
         return ShuffleElement(
@@ -268,6 +269,8 @@ class AbarElement(_LinearElement):
     """A finite linear combination of direct-limit words; multiplication pads
     the shorter word with units and multiplies factorwise."""
 
+    _word = staticmethod(abar_normalize)
+
     @staticmethod
     def from_word(word: AbarWord, coeff=1) -> "AbarElement":
         return AbarElement({word: Polynomial._coerce(coeff)})
@@ -276,14 +279,6 @@ class AbarElement(_LinearElement):
     def identity() -> "AbarElement":
         return AbarElement.from_word(AbarWord(()))
 
-    @staticmethod
-    def from_json_obj(obj: dict, gens: Iterable[str] = ()) -> "AbarElement":
-        result = AbarElement()
-        for coeff, factors in _json_terms(obj, gens):
-            for c, monos in expand_word_factors(factors):
-                result = result + AbarElement({abar_normalize(monos): c * coeff})
-        return result
-
     def __mul__(self, other) -> "AbarElement":
         if isinstance(other, (int, Polynomial)):
             return self.scale(other)
@@ -291,16 +286,17 @@ class AbarElement(_LinearElement):
             raise KindMismatch(
                 f"cannot multiply AbarElement and {type(other).__name__}"
             )
-        terms: dict[AbarWord, Polynomial] = {}
-        for wu, cu in self._terms.items():
-            for wv, cv in other._terms.items():
-                length = max(len(wu.factors), len(wv.factors))
-                fu, fv = wu.padded(length), wv.padded(length)
-                word = abar_normalize(tuple(a * b for a, b in zip(fu, fv)))
-                coeff = cu * cv
-                prev = terms.get(word)
-                terms[word] = coeff if prev is None else prev + coeff
-        return AbarElement(terms)
+        unit = Monomial.unit()
+        return AbarElement.from_terms(
+            (
+                abar_normalize(tuple(
+                    a * b for a, b in zip_longest(wu.factors, wv.factors, fillvalue=unit)
+                )),
+                cu * cv,
+            )
+            for wu, cu in self.terms()
+            for wv, cv in other.terms()
+        )
 
     def exact_div_scalar(self, d: Polynomial) -> "AbarElement":
         """Divide every coefficient exactly by d; raises NotDivisible."""

@@ -27,6 +27,7 @@ from freebaxter import (
     gamma,
     gen_var,
     generator_sequence,
+    parse_polynomial,
     prefix_sum_operator,
     prefix_sum_preimage,
     seq_degree,
@@ -222,3 +223,12 @@ def test_standard_json_roundtrip():
         s = random_standard_element(rng, trunc=4)
         obj = json.loads(json.dumps(s.to_json_obj()))
         assert StandardElement.from_json_obj(obj, gens=("x1", "x2")) == s
+
+
+def test_generator_sequence_merges_equal_words():
+    # lam*x1 and 2*x1 land on the same word in every entry
+    seq = generator_sequence(parse_polynomial("lam*x1 + 2*x1", ("x1",)), 4)
+    x1 = Monomial.of(gen_var("x1"))
+    for k in range(1, 5):
+        word = abar_normalize((Monomial.unit(),) * (k - 1) + (x1,))
+        assert seq.entry(k) == AbarElement.from_word(word, LAM.value + 2)

@@ -1,7 +1,11 @@
 import json
+import operator
 import random
+from functools import reduce
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from freebaxter import (
     AbarElement,
@@ -163,3 +167,49 @@ def test_trailing_unit_word_rejected():
 def test_empty_tensor_word_rejected():
     with pytest.raises(ValueError):
         TensorWord(())
+
+
+WORD_POOLS = [
+    (ShuffleElement, [w(ONE), w(X1), w(X1, ONE), w(ONE, X2, X1)]),
+    (AbarElement, [AbarWord(()), AbarWord((X1,)), AbarWord((ONE, X2)), AbarWord((X1, X2))]),
+]
+
+# (pool index, integer part, lam part): small ranges so words repeat and sums cancel
+_picks = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(-2, 2), st.integers(-1, 1)), max_size=8
+)
+
+
+@pytest.mark.parametrize("cls, pool", WORD_POOLS)
+@settings(max_examples=100, deadline=None)
+@given(picks=_picks)
+@example(picks=[(0, 1, 1), (1, 2, 0), (0, -1, -1), (1, 1, -1)])  # word 0 cancels
+def test_from_terms_is_the_sum_of_single_terms(cls, pool, picks):
+    pairs = [(pool[i], a + b * LAM) for i, a, b in picks]
+    total = cls.from_terms(pairs)
+    assert total == reduce(operator.add, (cls.from_word(w, c) for w, c in pairs), cls.zero())
+    assert all(not c.is_zero for _, c in total.terms())
+
+
+@pytest.mark.parametrize("cls", [ShuffleElement, AbarElement])
+def test_json_expanded_words_merge(cls):
+    # the factor "x1 + lam*x1" expands into x1 and lam*x1: one word, two terms
+    obj = {"terms": [{"coeff": "3", "word": ["x1 + lam*x1"]}]}
+    word = cls._word((X1,))
+    elem = cls.from_json_obj(obj, gens=("x1", "x2"))
+    assert elem == cls.from_word(word, 3 + 3 * LAM)
+    assert str(elem) == f"(3*lam + 3)*{word}"
+
+
+@pytest.mark.parametrize("cls", [ShuffleElement, AbarElement])
+def test_json_entries_cancel(cls):
+    obj = {"terms": [
+        {"coeff": "lam", "word": ["1", "x2"]},
+        {"coeff": "-lam", "word": ["1", "x2"]},
+    ]}
+    assert cls.from_json_obj(obj, gens=("x1", "x2")).is_zero
+    obj = {"terms": [
+        {"coeff": "1", "word": ["x1 + lam*x1"]},
+        {"coeff": "-1 - lam", "word": ["x1"]},
+    ]}
+    assert cls.from_json_obj(obj, gens=("x1", "x2")).is_zero
