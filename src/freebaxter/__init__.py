@@ -42,7 +42,6 @@ from .errors import (
 )
 from .exprparse import eval_expr, parse_expr, print_expr
 from .mixshuffle import (
-    APlusElement,
     BaxterTarget,
     MixableShuffle,
     ScalarBaxterTarget,

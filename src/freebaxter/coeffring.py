@@ -13,7 +13,6 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from functools import cmp_to_key
 from typing import Iterable, Mapping
 
 from .errors import DivisorZero, ExprSyntaxError, NamespaceViolation, NotDivisible
@@ -125,21 +124,29 @@ class Monomial:
 _UNIT_MONOMIAL = Monomial(())
 
 
-def _mono_cmp(a: Monomial, b: Monomial) -> int:
-    """Graded-lex comparison: total degree first, then lexicographic with the
-    variable order (coefficient namespace first, then by name)."""
-    da, db = a.total_degree, b.total_degree
-    if da != db:
-        return 1 if da > db else -1
-    ea, eb = dict(a.exponents), dict(b.exponents)
-    for v in sorted(set(ea) | set(eb), key=lambda v: v.sort_key):
-        xa, xb = ea.get(v, 0), eb.get(v, 0)
-        if xa != xb:
-            return 1 if xa > xb else -1
-    return 0
+def mono_key(m: Monomial) -> tuple:
+    """Sort key of the graded-lex order, greatest first: higher total degree,
+    then at the first differing variable (coefficient namespace first, then
+    by name) the larger exponent. The key is one flat tuple, so that a sort
+    holds little per item; at equal degree no key is a prefix of another, so
+    two keys first differ at matching fields."""
+    if not m.exponents:
+        return (0,)  # the unit, the commonest word factor
+    key = [0]
+    for v, e in m.exponents:
+        key[0] -= e
+        key += v.sort_key
+        key.append(-e)
+    return tuple(key)
 
 
-MONOMIAL_KEY = cmp_to_key(_mono_cmp)
+def _signed_sum(pieces: list[tuple[bool, str]]) -> str:
+    """Join (negative, body) pieces as ``a + b - c``, a leading minus on a
+    negative first piece."""
+    out = ("-" if pieces[0][0] else "") + pieces[0][1]
+    for negative, body in pieces[1:]:
+        out += (" - " if negative else " + ") + body
+    return out
 
 
 class Polynomial:
@@ -194,7 +201,7 @@ class Polynomial:
         return any(m.has_namespace(ns) for m in self._terms)
 
     def leading_term(self) -> tuple[Monomial, int]:
-        mono = max(self._terms, key=MONOMIAL_KEY)
+        mono = min(self._terms, key=mono_key)
         return mono, self._terms[mono]
 
     # -- arithmetic --------------------------------------------------------
@@ -261,7 +268,7 @@ class Polynomial:
         if not self._terms:
             return "0"
         pieces = []
-        for mono in sorted(self._terms, key=MONOMIAL_KEY, reverse=True):
+        for mono in sorted(self._terms, key=mono_key):
             coeff = self._terms[mono]
             mag = abs(coeff)
             if mono.is_unit:
@@ -271,10 +278,7 @@ class Polynomial:
             else:
                 body = f"{mag}*{mono}"
             pieces.append((coeff < 0, body))
-        out = ("-" if pieces[0][0] else "") + pieces[0][1]
-        for negative, body in pieces[1:]:
-            out += (" - " if negative else " + ") + body
-        return out
+        return _signed_sum(pieces)
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
@@ -307,19 +311,16 @@ def binomial(n: int, k: int) -> int:
 
 @dataclass(frozen=True, slots=True)
 class Weight:
-    """The weight of the Baxter structure: a coefficient-namespace polynomial,
-    flagged when it is certified a non-zero-divisor (true for any nonzero
-    polynomial over the integers)."""
+    """The weight of the Baxter structure: a coefficient-namespace polynomial."""
 
     value: Polynomial
-    nzd: bool
 
     @staticmethod
     def of(value) -> "Weight":
         poly = Polynomial._coerce(value)
         if poly.has_namespace(Namespace.GENERATOR):
             raise NamespaceViolation("weight must live in the coefficient namespace")
-        return Weight(poly, nzd=not poly.is_zero)
+        return Weight(poly)
 
     @staticmethod
     def default() -> "Weight":

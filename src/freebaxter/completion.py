@@ -2,9 +2,9 @@
 
 An element of the completion is modeled exactly as a residue class modulo the
 N-th filtration step: one homogeneous component per degree below the
-truncation level. The product of residue classes is computed degreewise from
-the stabilizing partial products; the stabilization bound makes every stored
-component exact.
+truncation level. The product of residue classes is one product of the top
+partial sums, cut to degrees below N; the degree bound of the word product
+makes every stored component exact.
 """
 
 from __future__ import annotations
@@ -107,16 +107,15 @@ class CompleteElement:
 
 
 def complete_mul(x: CompleteElement, y: CompleteElement, weight: Weight) -> CompleteElement:
-    """Degreewise product of residue classes: component k is the degree-k
-    piece of the product of the degree-k cutoffs, which has stabilized."""
+    """Product of residue classes from one product of the top cutoffs. A word
+    product of degrees i and j has degree between max(i, j) and i + j, so
+    pairs with i or j above k never reach degree k: the degree-k piece of the
+    product of the degree-(N-1) cutoffs is the stabilized component k."""
     x._check_trunc(y)
-    comps = {}
-    for k in range(x.trunc):
-        product = shuffle_product(x.partial_sum(k), y.partial_sum(k), weight)
-        piece = product.homogeneous_component(k)
-        if not piece.is_zero:
-            comps[k] = piece
-    return CompleteElement(x.trunc, comps)
+    top = x.trunc - 1
+    return CompleteElement.from_element(
+        shuffle_product(x.partial_sum(top), y.partial_sum(top), weight), x.trunc
+    )
 
 
 def complete_operator(x: CompleteElement) -> CompleteElement:

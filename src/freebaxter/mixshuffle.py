@@ -17,21 +17,18 @@ definition and serves as the test oracle; it is not on the product path.
 from __future__ import annotations
 
 import itertools
-import random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
 
 from .coeffring import (
     Monomial,
-    Namespace,
     Polynomial,
     Variable,
     Weight,
     binomial,
-    gen_var,
 )
-from .errors import MissingGeneratorImage, NamespaceViolation, WeightMismatch
+from .errors import MissingGeneratorImage, WeightMismatch
 from .words import ShuffleElement, TensorWord, _check_scalar
 
 
@@ -206,46 +203,12 @@ def is_nonunital(u: ShuffleElement) -> bool:
     return all(not w.factors[-1].is_unit for w, _ in u.terms())
 
 
-@dataclass(frozen=True, slots=True)
-class APlusElement:
-    """An element of the unitalization: a coefficient part and an
-    augmentation-ideal part (zero constant term in the generator variables)."""
-
-    c: Polynomial
-    a: Polynomial
-
-    def __post_init__(self):
-        if self.c.has_namespace(Namespace.GENERATOR):
-            raise NamespaceViolation("coefficient part contains generator variables")
-        for mono, _ in self.a.items():
-            _, gpart = mono.split()
-            if gpart.is_unit:
-                raise ValueError("augmentation-ideal part has a nonzero constant term")
-
-    @staticmethod
-    def identity() -> "APlusElement":
-        return APlusElement(Polynomial.one(), Polynomial.zero())
-
-    def __add__(self, other: "APlusElement") -> "APlusElement":
-        return APlusElement(self.c + other.c, self.a + other.a)
-
-    def __mul__(self, other: "APlusElement") -> "APlusElement":
-        return APlusElement(
-            self.c * other.c,
-            self.c * other.a + other.c * self.a + self.a * other.a,
-        )
-
-    def __str__(self) -> str:
-        return f"({self.c}, {self.a})"
-
-
 class BaxterTarget(ABC):
     """A Baxter algebra a homomorphism can be extended into: carrier
     operations, the operator, and images of the generators."""
 
     def __init__(self, weight: Weight):
         self.weight = weight
-        self.verified: bool | None = None
 
     @abstractmethod
     def zero(self): ...
@@ -264,24 +227,6 @@ class BaxterTarget(ABC):
 
     @abstractmethod
     def generator_image(self, var: Variable): ...
-
-    def sample(self, rng: random.Random):
-        """Optional random carrier element for the registration self-check."""
-        return None
-
-    def register(self, trials: int = 20, seed: int = 0) -> bool | None:
-        """Probabilistic check that the operator satisfies the weight-lambda
-        Baxter identity; records and returns the outcome (None if the target
-        cannot sample elements)."""
-        rng = random.Random(seed)
-        if self.sample(rng) is None:
-            self.verified = None
-        else:
-            self.verified = all(
-                baxter_identity_holds(self, self.sample(rng), self.sample(rng))
-                for _ in range(trials)
-            )
-        return self.verified
 
     def monomial_image(self, mono: Monomial):
         """Image of a base-algebra monomial under the induced algebra map:
@@ -337,23 +282,10 @@ class ScalarBaxterTarget(BaxterTarget):
             raise MissingGeneratorImage(f"no image declared for generator {var.name}")
         return Polynomial.from_variable(var)
 
-    def sample(self, rng: random.Random):
-        gens = sorted(self._gens)
-        terms = Polynomial.zero()
-        for _ in range(rng.randint(1, 3)):
-            mono = Monomial.unit()
-            for _ in range(rng.randint(0, 2)):
-                mono = mono * Monomial.of(gen_var(rng.choice(gens)))
-            terms = terms + Polynomial.from_monomial(mono, rng.randint(-3, 3))
-        return terms
-
 
 class ShuffleSelfTarget(BaxterTarget):
     """The shuffle algebra viewed as a target of itself; extension along the
     inclusion of generators is the identity map."""
-
-    def __init__(self, weight: Weight):
-        super().__init__(weight)
 
     def zero(self):
         return ShuffleElement.zero()

@@ -10,7 +10,6 @@ dividing exactly by powers of the weight.
 
 from __future__ import annotations
 
-import random
 from typing import Sequence
 
 from .coeffring import (
@@ -181,11 +180,6 @@ class SequenceTarget(BaxterTarget):
 
     def generator_image(self, var: Variable):
         return generator_sequence(Polynomial.from_variable(var), self.trunc)
-
-    def sample(self, rng: random.Random):
-        from .randgen import random_standard_element
-
-        return random_standard_element(rng, trunc=self.trunc)
 
 
 def to_standard(u: ShuffleElement, trunc: int, weight: Weight) -> StandardElement:

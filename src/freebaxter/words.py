@@ -10,7 +10,6 @@ multiplication on its linear combinations (``AbarElement``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from itertools import chain, zip_longest
 from typing import Iterable, Mapping, Sequence
 
@@ -18,7 +17,8 @@ from .coeffring import (
     Monomial,
     Namespace,
     Polynomial,
-    _mono_cmp,
+    _signed_sum,
+    mono_key,
     parse_polynomial,
     parse_scalar,
     poly_exact_div,
@@ -54,18 +54,12 @@ class TensorWord:
         return "[" + "|".join(str(f) for f in self.factors) + "]"
 
 
-def _word_cmp(a: TensorWord | AbarWord, b: TensorWord | AbarWord) -> int:
-    """The one word order, for both word kinds: length, then factorwise graded-lex."""
-    if len(a.factors) != len(b.factors):
-        return 1 if len(a.factors) > len(b.factors) else -1
-    for fa, fb in zip(a.factors, b.factors):
-        c = _mono_cmp(fa, fb)
-        if c:
-            return c
-    return 0
-
-
-WORD_KEY = cmp_to_key(_word_cmp)
+def word_key(w: TensorWord | AbarWord) -> tuple:
+    """Sort key of the one word order, for both word kinds, greatest first:
+    longer words, then factorwise graded-lex. The factor keys are joined
+    into one flat tuple; two factor keys that differ do so before either
+    ends, so the comparison never runs across a factor boundary."""
+    return (-len(w.factors), *chain.from_iterable(map(mono_key, w.factors)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,7 +191,7 @@ class _LinearElement:
         return hash(frozenset(self._terms.items()))
 
     def _sorted_words(self):
-        return sorted(self._terms, key=WORD_KEY, reverse=True)
+        return sorted(self._terms, key=word_key)
 
     def __str__(self) -> str:
         if not self._terms:
@@ -205,22 +199,14 @@ class _LinearElement:
         pieces = []
         for word in self._sorted_words():
             coeff = self._terms[word]
-            word_str = str(word)
-            if coeff == 1:
-                body, negative = word_str, False
-            elif coeff == -1:
-                body, negative = word_str, True
-            elif len(coeff._terms) == 1:
-                cstr = str(coeff)
-                negative = cstr.startswith("-")
-                body = f"{cstr.lstrip('-')}*{word_str}"
+            word_str, cstr = str(word), str(coeff)
+            if len(coeff._terms) > 1:
+                body, negative = f"({cstr})*{word_str}", False
             else:
-                body, negative = f"({coeff})*{word_str}", False
+                negative, mag = cstr.startswith("-"), cstr.lstrip("-")
+                body = word_str if mag == "1" else f"{mag}*{word_str}"
             pieces.append((negative, body))
-        out = ("-" if pieces[0][0] else "") + pieces[0][1]
-        for negative, body in pieces[1:]:
-            out += (" - " if negative else " + ") + body
-        return out
+        return _signed_sum(pieces)
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"

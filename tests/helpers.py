@@ -12,6 +12,8 @@ from collections import Counter
 
 import freebaxter
 from freebaxter import (
+    AbarWord,
+    CompleteElement,
     Monomial,
     Polynomial,
     ShuffleElement,
@@ -21,6 +23,7 @@ from freebaxter import (
     coeff_var,
     enumerate_mixable,
     gen_var,
+    shuffle_product,
 )
 from freebaxter.exprparse import (
     Add,
@@ -117,6 +120,45 @@ def mixable_word_product(x: TensorWord, y: TensorWord, weight: Weight) -> Shuffl
 
 def baxter_identity_holds(u: ShuffleElement, v: ShuffleElement, weight: Weight) -> bool:
     return freebaxter.baxter_identity_holds(ShuffleSelfTarget(weight), u, v)
+
+
+def _mono_cmp(a: Monomial, b: Monomial) -> int:
+    """Graded-lex comparison: total degree first, then lexicographic with the
+    variable order (coefficient namespace first, then by name)."""
+    da, db = a.total_degree, b.total_degree
+    if da != db:
+        return 1 if da > db else -1
+    ea, eb = dict(a.exponents), dict(b.exponents)
+    for v in sorted(set(ea) | set(eb), key=lambda v: v.sort_key):
+        xa, xb = ea.get(v, 0), eb.get(v, 0)
+        if xa != xb:
+            return 1 if xa > xb else -1
+    return 0
+
+
+def _word_cmp(a: TensorWord | AbarWord, b: TensorWord | AbarWord) -> int:
+    """The one word order, for both word kinds: length, then factorwise graded-lex."""
+    if len(a.factors) != len(b.factors):
+        return 1 if len(a.factors) > len(b.factors) else -1
+    for fa, fb in zip(a.factors, b.factors):
+        c = _mono_cmp(fa, fb)
+        if c:
+            return c
+    return 0
+
+
+def stabilized_complete_mul(
+    x: CompleteElement, y: CompleteElement, weight: Weight
+) -> CompleteElement:
+    """Degreewise product of residue classes: component k is the degree-k
+    piece of the product of the degree-k cutoffs, which has stabilized."""
+    comps = {}
+    for k in range(x.trunc):
+        product = shuffle_product(x.partial_sum(k), y.partial_sum(k), weight)
+        piece = product.homogeneous_component(k)
+        if not piece.is_zero:
+            comps[k] = piece
+    return CompleteElement(x.trunc, comps)
 
 
 # -- random AST generation -----------------------------------------------------

@@ -1,3 +1,5 @@
+from functools import cmp_to_key
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,8 @@ from freebaxter import (
     parse_polynomial,
     poly_exact_div,
 )
-from helpers import pascal_binomial, poly_fingerprint, schoolbook_mul
+from freebaxter.coeffring import mono_key
+from helpers import _mono_cmp, pascal_binomial, poly_fingerprint, schoolbook_mul
 
 LAM = Polynomial.from_variable(coeff_var("lam"))
 X1 = Polynomial.from_variable(gen_var("x1"))
@@ -67,9 +70,6 @@ def test_binomial_values():
 def test_weight_default_and_nzd():
     w = Weight.default()
     assert str(w) == "lam"
-    assert w.nzd
-    assert Weight.of(2).nzd
-    assert not Weight.of(0).nzd
 
 
 _vars = st.sampled_from(
@@ -109,6 +109,28 @@ def test_print_deterministic_order():
     p = 2 * X1**2 * X2 - LAM * X1 + 3
     assert str(p) == "2*x1^2*x2 - lam*x1 + 3"
     assert parse_polynomial("2*x1^2*x2 - lam*x1 + 3", gens=("x1", "x2")) == p
+
+
+_order_monomials = st.dictionaries(_vars, st.integers(1, 3)).map(Monomial.make)
+
+
+@settings(max_examples=200)
+@given(st.lists(_order_monomials, max_size=8))
+def test_mono_key_matches_comparator(monos):
+    assert sorted(monos, key=mono_key) == sorted(monos, key=cmp_to_key(_mono_cmp), reverse=True)
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(_order_monomials, st.integers(1, 5), min_size=1, max_size=6).map(Polynomial))
+def test_leading_term_is_the_comparator_max(p):
+    mono = max((m for m, _ in p.items()), key=cmp_to_key(_mono_cmp))
+    assert p.leading_term() == (mono, dict(p.items())[mono])
+
+
+def test_print_order_pins():
+    assert str(parse_polynomial("lam*c1 + c1^2 + lam^2")) == "c1^2 + c1*lam + lam^2"
+    p = parse_polynomial("lam^3 + c1*x1 + x1^2*lam + 2", ["x1"])
+    assert str(p) == "lam^3 + lam*x1^2 + c1*x1 + 2"
 
 
 def test_parse_constant_and_zero():

@@ -24,7 +24,7 @@ from freebaxter import (
     unit_word,
 )
 from freebaxter.randgen import random_shuffle_element
-from helpers import pascal_binomial
+from helpers import pascal_binomial, stabilized_complete_mul
 
 LAM = Weight.default()
 ZERO = Weight.of(0)
@@ -74,6 +74,19 @@ def test_complete_mul_agrees_with_truncated_product():
             CompleteElement.from_element(u, N), CompleteElement.from_element(v, N), LAM
         )
         assert lhs == CompleteElement.from_element(full, N)
+
+
+ORACLE_WEIGHTS = [LAM, Weight.of(2), Weight.of(LAM.value + 1), ZERO, Weight.of(-3 * LAM.value**2)]
+
+
+@pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=str)
+def test_complete_mul_matches_degreewise_cutoffs(weight):
+    rng = random.Random(45)
+    for trunc in range(1, 6):
+        for _ in range(8):
+            x = CompleteElement.from_element(random_shuffle_element(rng, max_len=5), trunc)
+            y = CompleteElement.from_element(random_shuffle_element(rng, max_len=5), trunc)
+            assert complete_mul(x, y, weight) == stabilized_complete_mul(x, y, weight), (x, y)
 
 
 def test_complete_ring_axioms():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import freebaxter
 from freebaxter import (
-    APlusElement,
     Monomial,
     Polynomial,
     ScalarBaxterTarget,
@@ -249,19 +249,6 @@ def test_product_degree_bounds():
             assert max(m, n) <= word.degree <= m + n
 
 
-def test_aplus_mul():
-    lam = Polynomial.from_variable(coeff_var("lam"))
-    x1 = Polynomial.from_variable(gen_var("x1"))
-    ident = APlusElement.identity()
-    p = APlusElement(lam, x1)
-    assert ident * p == p
-    a = APlusElement(Polynomial.zero(), x1)
-    b = APlusElement(Polynomial.zero(), x1 + x1 * x1)
-    assert a * b == APlusElement(Polynomial.zero(), x1 * (x1 + x1 * x1))
-    q = APlusElement(Polynomial.one(), x1)
-    assert q * q == APlusElement(Polynomial.one(), 2 * x1 + x1 * x1)
-
-
 def test_is_nonunital():
     assert is_nonunital(ShuffleElement.from_word(w(ONE, X1)))
     assert not is_nonunital(ShuffleElement.from_word(w(X1, ONE)))
@@ -320,7 +307,19 @@ def test_extend_hom_is_baxter_homomorphism():
         assert extend_hom(target, baxter_operator(u), LAM) == target.apply_operator(fu)
 
 
+def _random_gen_poly(rng):
+    poly = Polynomial.zero()
+    for _ in range(rng.randint(1, 3)):
+        mono = ONE
+        for _ in range(rng.randint(0, 2)):
+            mono = mono * Monomial.of(gen_var(rng.choice(GENS)))
+        poly = poly + Polynomial.from_monomial(mono, rng.randint(-3, 3))
+    return poly
+
+
 def test_scalar_target_self_check():
     target = ScalarBaxterTarget(LAM)
-    assert target.register(trials=20, seed=9) is True
-    assert target.verified is True
+    rng = random.Random(9)
+    for _ in range(20):
+        x, y = _random_gen_poly(rng), _random_gen_poly(rng)
+        assert freebaxter.baxter_identity_holds(target, x, y), (x, y)

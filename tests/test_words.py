@@ -1,7 +1,7 @@
 import json
 import operator
 import random
-from functools import reduce
+from functools import cmp_to_key, reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +21,8 @@ from freebaxter import (
     gen_var,
 )
 from freebaxter.randgen import random_abar_element, random_shuffle_element
+from freebaxter.words import word_key
+from helpers import _word_cmp
 
 X1 = Monomial.of(gen_var("x1"))
 X2 = Monomial.of(gen_var("x2"))
@@ -213,3 +215,18 @@ def test_json_entries_cancel(cls):
         {"coeff": "-1 - lam", "word": ["x1"]},
     ]}
     assert cls.from_json_obj(obj, gens=("x1", "x2")).is_zero
+
+
+_factors = st.dictionaries(
+    st.sampled_from([gen_var("x1"), gen_var("x2")]), st.integers(1, 3)
+).map(Monomial.make)
+_tensor_words = st.lists(_factors, min_size=1, max_size=4).map(lambda fs: TensorWord(tuple(fs)))
+_abar_words = st.lists(_factors, max_size=4).map(abar_normalize)
+
+
+@pytest.mark.parametrize("words", [_tensor_words, _abar_words], ids=["tensor", "abar"])
+@settings(max_examples=200)
+@given(data=st.data())
+def test_word_key_matches_comparator(words, data):
+    ws = data.draw(st.lists(words, max_size=8))
+    assert sorted(ws, key=word_key) == sorted(ws, key=cmp_to_key(_word_cmp), reverse=True)
