@@ -15,14 +15,20 @@ from freebaxter import (
     AbarWord,
     CompleteElement,
     Monomial,
+    NotInImage,
     Polynomial,
+    SequenceTarget,
     ShuffleElement,
     ShuffleSelfTarget,
+    StandardElement,
     TensorWord,
     Weight,
+    WeightZero,
     coeff_var,
     enumerate_mixable,
+    extend_hom,
     gen_var,
+    poly_exact_div,
     shuffle_product,
 )
 from freebaxter.exprparse import (
@@ -159,6 +165,45 @@ def stabilized_complete_mul(
         if not piece.is_zero:
             comps[k] = piece
     return CompleteElement(x.trunc, comps)
+
+
+def universal_to_standard(u: ShuffleElement, trunc: int, weight: Weight) -> StandardElement:
+    """The canonical map by the paper's universal property: the Baxter
+    homomorphism into the sequence algebra extending the staircase images."""
+    return extend_hom(SequenceTarget(trunc, weight), u, weight)
+
+
+def peel_from_standard(s: StandardElement, weight: Weight) -> ShuffleElement:
+    """Leading-term peeling that subtracts the universal-property image of each
+    peeled degree from the whole remainder."""
+    if weight.is_zero:
+        raise WeightZero("reconstruction requires a nonzero weight")
+    remainder = s
+    pairs = []
+    for n, lam_power in enumerate(weight.powers(s.trunc - 1)):
+        for j in range(1, n + 1):
+            if not remainder.entry(j).is_zero:
+                raise NotInImage(
+                    f"entry {j} has a nonzero residual while peeling degree {n}"
+                )
+        lead = remainder.entry(n + 1)
+        if lead.is_zero:
+            continue
+        piece = []
+        for word, coeff in lead.terms():
+            if len(word.factors) > n + 1:
+                raise NotInImage(
+                    f"entry {n + 1} contains a word of length {len(word.factors)}"
+                )
+            recovered = TensorWord(tuple(reversed(word.padded(n + 1))))
+            piece.append((recovered, poly_exact_div(coeff, lam_power)))
+        pairs += piece
+        remainder = remainder - universal_to_standard(
+            ShuffleElement.from_terms(piece), s.trunc, weight
+        )
+    if not remainder.is_zero:
+        raise NotInImage("nonzero residual after peeling every entry")
+    return ShuffleElement.from_terms(pairs)
 
 
 # -- random AST generation -----------------------------------------------------

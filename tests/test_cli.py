@@ -236,6 +236,9 @@ def test_psi_coefficient_naming_a_generator_exit_2(capsys, tmp_path):
     ({"trunc": 1, "entries": [{}]}, "terms"),
     ({"trunc": 1, "entries": [{"terms": [{"word": ["x1"]}]}]}, "coeff"),
     ({"trunc": 1, "entries": [{"terms": [{"coeff": "lam"}]}]}, "word"),
+    ({"entries": [{"terms": []}]}, "trunc"),
+    ({"trunc": 3, "entries": [{"terms": []}, {"terms": []}]}, "trunc"),
+    ({"trunc": True, "entries": [{"terms": []}]}, "trunc"),
 ])
 def test_psi_malformed_json_exit_2(capsys, tmp_path, obj, field):
     path = tmp_path / "seq.json"
@@ -244,3 +247,35 @@ def test_psi_malformed_json_exit_2(capsys, tmp_path, obj, field):
     assert (code, out) == (2, "")
     assert err.startswith("error: config:")
     assert repr(field) in err
+
+
+WORD_21 = ["x1", "x2"] * 10 + ["x1"]
+
+
+def test_phi_explosive_image_exit_2(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "phi", "--trunc", "40", "[" + "|".join(WORD_21) + "]")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config: the image at truncation 40 would build")
+
+
+def test_psi_explosive_reconstruction_exit_2(capsys, tmp_path):
+    # entry 21 holds lam^20 times a 21-factor word: C(40, 21) chains to subtract
+    entries = [{"terms": []} for _ in range(40)]
+    entries[20] = {"terms": [{"coeff": "lam^20", "word": WORD_21}]}
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"trunc": 40, "entries": entries}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "psi", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config: reconstruction at truncation 40 would build")
+
+
+def test_phi_trunc_40_short_word_runs(capsys):
+    # C(40, 3) = 9,880 chains, under the limit
+    code, out, _ = run(capsys, "phi", "--trunc", "40", "[x1|x2|x1]")
+    assert code == 0
+    assert out.startswith("lam^2*(x1|x2|x1) g3 + (lam^2*(x1|x2|1|x1) + ")
+    assert out.count(" g") == 38
