@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .coeffring import Polynomial, Weight, binomial, parse_polynomial
 from .errors import NotScalarBase, TruncMismatch, WeightNotZero
-from .mixshuffle import baxter_operator, shuffle_product, unit_word
+from .mixshuffle import baxter_operator, mixable_counts, shuffle_product, unit_word
 from .words import ShuffleElement
 
 
@@ -42,13 +42,13 @@ class CompleteElement:
 
     @staticmethod
     def from_element(u: ShuffleElement, trunc: int) -> "CompleteElement":
-        """Split into homogeneous components and discard degrees >= trunc."""
-        comps = {}
-        for k in range(trunc):
-            piece = u.homogeneous_component(k)
-            if not piece.is_zero:
-                comps[k] = piece
-        return CompleteElement(trunc, comps)
+        """Split into homogeneous components and discard degrees >= trunc, in
+        one pass over the terms."""
+        groups: dict[int, dict] = {}
+        for w, c in u.terms():
+            if w.degree < trunc:
+                groups.setdefault(w.degree, {})[w] = c
+        return CompleteElement(trunc, {k: ShuffleElement(groups[k]) for k in sorted(groups)})
 
     @staticmethod
     def zero(trunc: int) -> "CompleteElement":
@@ -106,15 +106,50 @@ class CompleteElement:
         return f"CompleteElement(trunc={self.trunc}, {self})"
 
 
+# Most work units one `complete_mul` may need, predicted from closed forms.
+# A word pair of degrees m and n costs its (m+1)(n+1) table cells plus the
+# mixable shuffles that survive the bound, those merging k >= m + n - (N-1)
+# pairs (``mixable_counts``). A unit costs 3-7 us as an empty cell and about
+# 12 us on the full class of words over {1, x1} times the one over {1, x2}
+# (Python 3.11, 2-vCPU VM), so the limit bounds a call to about ten
+# seconds: that class runs at truncation 6 (561,960 units, 5-7 s) and is
+# refused at truncation 7 (3,563,816). Over it a call raises ValueError
+# before building any word, instead of running for minutes.
+MAX_PRODUCT_UNITS = 1_000_000
+
+
+def _check_units(x: CompleteElement, y: CompleteElement, top: int) -> None:
+    units = 0
+    for m, ex in x._components.items():
+        for n, ey in y._components.items():
+            pairs = len(ex.terms()) * len(ey.terms())
+            units += pairs * (m + 1) * (n + 1)
+            if units <= MAX_PRODUCT_UNITS:  # else skip the min(m, n) binomials
+                units += pairs * sum(
+                    c for k, c in mixable_counts(m, n).items() if k >= m + n - top
+                )
+            if units > MAX_PRODUCT_UNITS:
+                raise ValueError(
+                    f"the product at truncation {top + 1} would take at least {units:,} "
+                    f"work units, over the limit of {MAX_PRODUCT_UNITS:,}"
+                )
+
+
 def complete_mul(x: CompleteElement, y: CompleteElement, weight: Weight) -> CompleteElement:
-    """Product of residue classes from one product of the top cutoffs. A word
-    product of degrees i and j has degree between max(i, j) and i + j, so
-    pairs with i or j above k never reach degree k: the degree-k piece of the
-    product of the degree-(N-1) cutoffs is the stabilized component k."""
+    """Product of residue classes from one product of the top cutoffs, cut
+    to degree <= N - 1 inside the quasi-shuffle table. A word product of
+    degrees i and j has degree between max(i, j) and i + j, so pairs with i
+    or j above k never reach degree k: the degree-k piece of the product of
+    the degree-(N-1) cutoffs is the stabilized component k. The table keeps
+    a tail at cell (i, j) only while it is at most N - 1 - max(i, j) long,
+    which drops exactly the words of degree >= N (see ``word_product``), so
+    no word past the truncation is built. Raises ValueError when the
+    predicted work passes MAX_PRODUCT_UNITS."""
     x._check_trunc(y)
     top = x.trunc - 1
+    _check_units(x, y, top)
     return CompleteElement.from_element(
-        shuffle_product(x.partial_sum(top), y.partial_sum(top), weight), x.trunc
+        shuffle_product(x.partial_sum(top), y.partial_sum(top), weight, top), x.trunc
     )
 
 

@@ -115,32 +115,53 @@ def mixable_histogram(m: int, n: int) -> dict[int, int]:
     return hist
 
 
-def word_product(x: TensorWord, y: TensorWord, weight: Weight) -> ShuffleElement:
-    """The weighted mixable-shuffle product of two basis words.
+def word_product(
+    x: TensorWord, y: TensorWord, weight: Weight, top: int | None = None
+) -> ShuffleElement:
+    """The weighted mixable-shuffle product of two basis words, cut to words
+    of degree <= ``top`` when a bound is given.
 
     The heads multiply; the tails a = x[1:], b = y[1:] take the quasi-shuffle
     product. Row i of the table holds a[i:] * b[j:] for every j, as words of
     letter ids with integer counts; only rows i and i+1 are alive at once. A
     word of the product of a and b has merged k = m + n - len(word) pairs, so
-    its coefficient is count * lam^k."""
+    its coefficient is count * lam^k.
+
+    The bound is pushed into the table. Every step from cell (0, 0) writes
+    one letter and advances i, j or both by one, so whatever reaches cell
+    (i, j) has at least max(i, j) letters in front of its tail: a tail longer
+    than room = top - max(i, j) only ever ends in words of degree > top, and
+    a tail no longer than that keeps its full count. The cut is therefore
+    exact. The longest tail of cell (i, j), (m - i) + (n - j), exceeds its
+    room exactly when min(i, j) < short = m + n - top, so only those cells
+    are pruned; with no bound short is 0 and the table is the unbounded one.
+    A pair with max(m, n) > top, that is short > min(m, n), gives zero."""
     a, b = x.factors[1:], y.factors[1:]
     m, n = len(a), len(b)
+    short = 0 if top is None else m + n - top
+    if short > min(m, n):
+        return ShuffleElement.zero()
     ids: dict[Monomial, int] = {}
     aid = [ids.setdefault(f, len(ids)) for f in a]
     bid = [ids.setdefault(f, len(ids)) for f in b]
     abid = [[ids.setdefault(f * g, len(ids)) for g in b] for f in a]
     letters = list(ids)
 
-    below = [{tuple(bid[j:]): 1} for j in range(n + 1)]  # row m: empty a-suffix
+    # row m: empty a-suffix; the single tail b[j:] is its cell's longest
+    below = [{tuple(bid[j:]): 1} if min(m, j) >= short else {} for j in range(n + 1)]
     for i in range(m - 1, -1, -1):
         ai, merged = aid[i], abid[i]
-        row = [None] * n + [{tuple(aid[i:]): 1}]
+        row = [None] * n + [{tuple(aid[i:]): 1} if min(i, n) >= short else {}]
+        cut = n if i < short else short  # the cells j < cut can overflow
         for j in range(n - 1, -1, -1):
             cell = {(ai,) + w: c for w, c in below[j].items()}
             for prefix, source in ((bid[j], row[j + 1]), (merged[j], below[j + 1])):
                 for w, c in source.items():
                     w = (prefix,) + w
                     cell[w] = cell.get(w, 0) + c
+            if j < cut:
+                room = top - max(i, j)
+                cell = {w: c for w, c in cell.items() if len(w) <= room}
             row[j] = cell
         below = row
 
@@ -152,14 +173,18 @@ def word_product(x: TensorWord, y: TensorWord, weight: Weight) -> ShuffleElement
     })
 
 
-def shuffle_product(u: ShuffleElement, v: ShuffleElement, weight: Weight) -> ShuffleElement:
+def shuffle_product(
+    u: ShuffleElement, v: ShuffleElement, weight: Weight, top: int | None = None
+) -> ShuffleElement:
     """Bilinear extension of the word product; commutative, associative,
-    unital with identity [1]."""
+    unital with identity [1]. With ``top``, each word product is cut to
+    degree <= top inside its table (see ``word_product``), so the result is
+    the full product cut to degree <= top."""
     def terms():
         for wu, cu in u.terms():
             for wv, cv in v.terms():
                 scalar = _check_scalar(cu * cv)
-                for word, coeff in word_product(wu, wv, weight).terms():
+                for word, coeff in word_product(wu, wv, weight, top).terms():
                     yield word, coeff * scalar
 
     return ShuffleElement.from_terms(terms())

@@ -280,12 +280,17 @@ def from_standard(s: StandardElement, weight: Weight) -> ShuffleElement:
     remainder = [dict(entry.terms()) for entry in s.entries]
     chains = 0
     pairs = []
-    for n, lam_power in enumerate(weight.powers(s.trunc - 1)):
+    lam_power, power = Polynomial.one(), 0  # lam_power is lam^power
+    for n in range(s.trunc):
         for j in range(1, n + 1):
             if remainder[j - 1]:
                 raise NotInImage(
                     f"entry {j} has a nonzero residual while peeling degree {n}"
                 )
+        if not remainder[n]:
+            continue
+        while power < n:
+            lam_power, power = lam_power * weight.value, power + 1
         piece = []
         for word, coeff in remainder[n].items():
             if len(word.factors) > n + 1:

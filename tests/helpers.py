@@ -167,6 +167,29 @@ def stabilized_complete_mul(
     return CompleteElement(x.trunc, comps)
 
 
+def cut_to_degree(u: ShuffleElement, top: int) -> ShuffleElement:
+    """The words of u of degree at most top."""
+    return ShuffleElement({w: c for w, c in u.terms() if w.degree <= top})
+
+
+def lambda_hurwitz_mul(f: list, g: list, weight: Weight) -> list[Polynomial]:
+    """Guo and Keigher's lambda-Hurwitz product of two truncated sequences:
+    (fg)_n = sum over k = 0..n, j = 0..n-k of
+    C(n,k) C(n-k,j) lam^k f_{n-j} g_{k+j}."""
+    lam_powers = [Polynomial.one()]
+    for _ in range(len(f)):
+        lam_powers.append(lam_powers[-1] * weight.value)
+    out = []
+    for n in range(len(f)):
+        total = Polynomial.zero()
+        for k in range(n + 1):
+            for j in range(n - k + 1):
+                c = pascal_binomial(n, k) * pascal_binomial(n - k, j)
+                total = total + c * lam_powers[k] * f[n - j] * g[k + j]
+        out.append(total)
+    return out
+
+
 def universal_to_standard(u: ShuffleElement, trunc: int, weight: Weight) -> StandardElement:
     """The canonical map by the paper's universal property: the Baxter
     homomorphism into the sequence algebra extending the staircase images."""

@@ -182,6 +182,35 @@ def test_complete_mul(capsys):
     assert lines[1] == "(lam + 1)*[1|1] + 2*[1|1|1]"
 
 
+def test_complete_mul_huge_truncation_runs(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "complete-mul", "--trunc", "10000000", "[1|x1]", "[x2]")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (0, "trunc: 10000000\n[x2|x1]\n")
+
+
+def test_complete_mul_benchmark_shape_runs(capsys):
+    # the shape of the cli benchmark's complete-mul op: degrees 0 and 2 times
+    # 1 and P(degree 3)
+    code, out, _ = run(
+        capsys, "complete-mul", "--trunc", "5", "[x1] + [x2|x3|x4]", "[x1|x2] + P([x3|x4|x1|x2])"
+    )
+    assert code == 0
+    assert out.startswith("trunc: 5\n")
+
+
+def test_complete_mul_explosive_product_exit_2(capsys):
+    # two 13-factor words with no factor in common: all D(12, 12) =
+    # 251,595,969 mixable shuffles survive at truncation 25
+    left = "[" + "|".join(["x1", "x2"] * 6 + ["x1"]) + "]"
+    right = "[" + "|".join(["x3", "x4"] * 6 + ["x3"]) + "]"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "complete-mul", "--trunc", "25", left, right)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: config: the product at truncation 25 would take at least")
+
+
 def test_baxter_check_passes(capsys):
     code, out, _ = run(capsys, "baxter-check", "--trials", "10", "--seed", "3")
     assert code == 0
@@ -279,3 +308,13 @@ def test_phi_trunc_40_short_word_runs(capsys):
     assert code == 0
     assert out.startswith("lam^2*(x1|x2|x1) g3 + (lam^2*(x1|x2|1|x1) + ")
     assert out.count(" g") == 38
+
+
+def test_psi_empty_trunc_400_builds_no_weight_powers(capsys, tmp_path):
+    # at the parent every lam power up to 399 was built first: about a second
+    path = tmp_path / "seq.json"
+    path.write_text(json.dumps({"trunc": 400, "entries": [{"terms": []}] * 400}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "psi", "--weight", "lam + 1", str(path))
+    assert time.perf_counter() - start < 0.25
+    assert (code, out, err) == (0, "0\n", "")

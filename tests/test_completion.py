@@ -1,4 +1,5 @@
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -23,8 +24,9 @@ from freebaxter import (
     shuffle_product,
     unit_word,
 )
+from freebaxter import completion
 from freebaxter.randgen import random_shuffle_element
-from helpers import pascal_binomial, stabilized_complete_mul
+from helpers import lambda_hurwitz_mul, pascal_binomial, stabilized_complete_mul
 
 LAM = Weight.default()
 ZERO = Weight.of(0)
@@ -82,11 +84,97 @@ ORACLE_WEIGHTS = [LAM, Weight.of(2), Weight.of(LAM.value + 1), ZERO, Weight.of(-
 @pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=str)
 def test_complete_mul_matches_degreewise_cutoffs(weight):
     rng = random.Random(45)
-    for trunc in range(1, 6):
+    for trunc in range(1, 8):
         for _ in range(8):
             x = CompleteElement.from_element(random_shuffle_element(rng, max_len=5), trunc)
             y = CompleteElement.from_element(random_shuffle_element(rng, max_len=5), trunc)
             assert complete_mul(x, y, weight) == stabilized_complete_mul(x, y, weight), (x, y)
+
+
+def _unit_class(entries):
+    """The all-unit class sum_n entries[n] * [1|..|1] (n+1 factors)."""
+    return CompleteElement(len(entries), {
+        n: ShuffleElement.from_word(unit_word(n + 1), c) for n, c in enumerate(entries) if c
+    })
+
+
+@pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=str)
+def test_complete_mul_of_unit_classes_is_lambda_hurwitz_product(weight):
+    rng = random.Random(88)
+    for trunc in range(1, 9):
+        for _ in range(4):
+            f = [rng.randint(-4, 4) for _ in range(trunc)]
+            g = [rng.randint(-4, 4) for _ in range(trunc)]
+            want = _unit_class(lambda_hurwitz_mul(f, g, weight))
+            assert complete_mul(_unit_class(f), _unit_class(g), weight) == want, (f, g)
+    full = [1] * 8
+    assert complete_mul(_unit_class(full), _unit_class(full), weight) == _unit_class(
+        lambda_hurwitz_mul(full, full, weight)
+    )
+
+
+def test_lambda_hurwitz_product_at_weight_zero_is_binomial_convolution():
+    rng = random.Random(89)
+    for _ in range(10):
+        f = [rng.randint(-4, 4) for _ in range(6)]
+        g = [rng.randint(-4, 4) for _ in range(6)]
+        assert HurwitzSeries(lambda_hurwitz_mul(f, g, ZERO)) == HurwitzSeries(f) * HurwitzSeries(g)
+
+
+def test_from_element_matches_degreewise_split():
+    rng = random.Random(90)
+    for _ in range(30):
+        u = random_shuffle_element(rng, max_len=6)
+        for trunc in range(1, 8):
+            comps = {k: u.homogeneous_component(k) for k in range(trunc)}
+            want = CompleteElement(trunc, {k: c for k, c in comps.items() if not c.is_zero})
+            got = CompleteElement.from_element(u, trunc)
+            assert got == want
+            assert str(got) == str(want)
+
+
+def test_from_element_huge_truncation_is_one_pass():
+    u = ShuffleElement.from_word(TensorWord((ONE, X1)), 3)
+    start = time.perf_counter()
+    x = CompleteElement.from_element(u, 10**7)
+    assert time.perf_counter() - start < 0.5
+    assert x.component(1) == u
+
+
+def test_product_budget_is_the_predicted_count(monkeypatch):
+    """[x1|x1] times [1|x1|x1] at truncation 3: the pair has 2 * 3 table cells
+    and mixable_counts(1, 2) = {0: 3, 1: 2}; only the 2 one-merge shuffles
+    stay below degree 3, so the prediction is 8 units."""
+    x = CompleteElement.from_element(ShuffleElement.from_word(TensorWord((X1, X1))), 3)
+    y = CompleteElement.from_element(ShuffleElement.from_word(TensorWord((ONE, X1, X1))), 3)
+    product = complete_mul(x, y, LAM)
+    assert product == stabilized_complete_mul(x, y, LAM)
+    monkeypatch.setattr(completion, "MAX_PRODUCT_UNITS", 8)
+    assert complete_mul(x, y, LAM) == product
+    monkeypatch.setattr(completion, "MAX_PRODUCT_UNITS", 7)
+    with pytest.raises(ValueError, match="at least 8 work units, over the limit of 7"):
+        complete_mul(x, y, LAM)
+
+
+def _full_class(trunc, letter):
+    """Every word over {1, letter} of every degree below trunc, coefficient 1."""
+    words = [()]
+    terms = []
+    for _ in range(trunc):
+        words = [word + (f,) for word in words for f in (ONE, letter)]
+        terms += [(TensorWord(word), 1) for word in words]
+    return CompleteElement.from_element(ShuffleElement.from_terms(terms), trunc)
+
+
+def test_product_budget_refuses_fast_and_admits_truncation_6():
+    x2 = Monomial.of(gen_var("x2"))
+    x, y = _full_class(7, X1), _full_class(7, x2)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="the product at truncation 7 would take at least"):
+        complete_mul(x, y, LAM)
+    assert time.perf_counter() - start < 1.0
+    # 561,960 predicted units: under the limit, so the 5-7 s product would run
+    completion._check_units(_full_class(6, X1), _full_class(6, x2), 5)
 
 
 def test_complete_ring_axioms():

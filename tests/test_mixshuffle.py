@@ -31,7 +31,13 @@ from freebaxter import (
     word_product,
 )
 from freebaxter.randgen import random_shuffle_element
-from helpers import GENS, baxter_identity_holds, brute_shuffles, mixable_word_product
+from helpers import (
+    GENS,
+    baxter_identity_holds,
+    brute_shuffles,
+    cut_to_degree,
+    mixable_word_product,
+)
 
 LAM = Weight.default()
 X1 = Monomial.of(gen_var("x1"))
@@ -145,6 +151,68 @@ _short_words = st.lists(_letters, min_size=1, max_size=4).map(lambda fs: w(*fs))
 @given(_short_words, _short_words, st.sampled_from(ORACLE_WEIGHTS))
 def test_word_product_property_against_enumeration(x, y, weight):
     assert word_product(x, y, weight) == mixable_word_product(x, y, weight)
+
+
+def _assert_bounded_matches_cut(x, y, weight):
+    """word_product with every bound 0..m+n equals the unbounded product cut
+    to that degree, as text and as an element."""
+    full = word_product(x, y, weight)
+    for top in range(x.degree + y.degree + 1):
+        bounded = word_product(x, y, weight, top)
+        want = cut_to_degree(full, top)
+        assert bounded == want, (x, y, top)
+        assert str(bounded) == str(want), (x, y, top)
+    assert word_product(x, y, weight, x.degree + y.degree) == full
+
+
+@pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=str)
+def test_bounded_word_product_matches_cut_product(weight):
+    rng = random.Random(2014)
+    for m in range(5):
+        for n in range(5):
+            repeated = (_repeated_word(rng, m + 1), _repeated_word(rng, n + 1))
+            # equal factors on both sides: merged words collide with unmerged ones
+            same = _repeated_word(rng, m + 1)
+            for x, y in (_distinct_words(m, n), repeated, (same, same)):
+                _assert_bounded_matches_cut(x, y, weight)
+
+
+@pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=str)
+def test_bounded_unit_product_matches_closed_form(weight):
+    for m in range(7):
+        for n in range(7):
+            closed = unit_power_product(m, n, weight)
+            for top in range(m + n + 1):
+                bounded = word_product(unit_word(m + 1), unit_word(n + 1), weight, top)
+                assert bounded == cut_to_degree(closed, top), (m, n, top)
+                assert str(bounded) == str(cut_to_degree(closed, top))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_short_words, _short_words, st.sampled_from(ORACLE_WEIGHTS))
+def test_bounded_word_product_property(x, y, weight):
+    _assert_bounded_matches_cut(x, y, weight)
+
+
+@pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=str)
+def test_bounded_shuffle_product_matches_cut_product(weight):
+    rng = random.Random(77)
+    for _ in range(20):
+        u = random_shuffle_element(rng, max_len=5)
+        v = random_shuffle_element(rng, max_len=5)
+        full = shuffle_product(u, v, weight)
+        for top in range(9):
+            bounded = shuffle_product(u, v, weight, top)
+            assert bounded == cut_to_degree(full, top), (u, v, top)
+            assert str(bounded) == str(cut_to_degree(full, top))
+
+
+def test_bounded_word_product_too_long_factor_is_zero():
+    assert word_product(unit_word(4), unit_word(1), LAM, 2).is_zero
+    assert word_product(w(X1), w(ONE, X2, X2, X2), LAM, 2).is_zero
+    assert word_product(w(X1), w(ONE, X2, X2, X2), LAM, 3) == ShuffleElement.from_word(
+        w(X1, X2, X2, X2)
+    )
 
 
 def test_shuffle_product_cancellation_leaves_no_zero_terms():

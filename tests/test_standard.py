@@ -41,7 +41,7 @@ from freebaxter import (
 from freebaxter import standard
 from freebaxter.exprparse import eval_expr, parse_expr
 from freebaxter.randgen import random_abar_element, random_shuffle_element, random_standard_element
-from helpers import peel_from_standard, universal_to_standard
+from helpers import cut_to_degree, peel_from_standard, universal_to_standard
 
 LAM = Weight.default()
 TWO = Weight.of(2)
@@ -295,6 +295,28 @@ def test_from_standard_matches_peeling_oracle(weight):
                 assert _peel_outcome(from_standard, s, weight) == _peel_outcome(
                     peel_from_standard, s, weight
                 )
+
+
+@pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=str)
+def test_from_standard_peels_sparse_degrees(weight):
+    """Only late entries are nonempty, so the peel needs weight powers it
+    skipped building: degree 3 and 5 words, and a lead coefficient that the
+    weight power does not divide."""
+    u = ShuffleElement.from_word(tw(X1, ONE, X2, X1), 3) + ShuffleElement.from_word(
+        tw(*[X2] * 6)
+    )
+    for trunc in (4, 6, 9):
+        image = to_standard(u, trunc, weight)
+        assert from_standard(image, weight) == cut_to_degree(u, trunc - 1)
+        assert _peel_outcome(from_standard, image, weight) == _peel_outcome(
+            peel_from_standard, image, weight
+        )
+        bump = [AbarElement.zero()] * trunc
+        bump[trunc - 1] = aw(X1, X2)
+        s = image + StandardElement(bump)
+        assert _peel_outcome(from_standard, s, weight) == _peel_outcome(
+            peel_from_standard, s, weight
+        )
 
 
 _letters = st.sampled_from([ONE, X1, X2, X1 * X1])
