@@ -311,7 +311,7 @@ def test_phi_trunc_40_short_word_runs(capsys):
 
 
 def test_psi_empty_trunc_400_builds_no_weight_powers(capsys, tmp_path):
-    # at the parent every lam power up to 399 was built first: about a second
+    # no entry is peeled, so no weight power is built; all 400 take about a second
     path = tmp_path / "seq.json"
     path.write_text(json.dumps({"trunc": 400, "entries": [{"terms": []}] * 400}))
     start = time.perf_counter()
