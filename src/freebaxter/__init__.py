@@ -43,19 +43,12 @@ from .errors import (
 from .exprparse import eval_expr, parse_expr, print_expr
 from .mixshuffle import (
     BaxterTarget,
-    MixableShuffle,
-    ScalarBaxterTarget,
-    ShufflePermutation,
     ShuffleSelfTarget,
-    admissible_pairs,
     baxter_identity_holds,
     baxter_operator,
-    enumerate_mixable,
-    enumerate_shuffles,
     extend_hom,
     fil_degree,
     is_nonunital,
-    mixable_histogram,
     shuffle_product,
     unit_power_product,
     unit_word,

@@ -12,7 +12,7 @@ import random
 import sys
 
 from .coeffring import Weight, parse_scalar
-from .completion import CompleteElement, HurwitzSeries, complete_mul
+from .completion import MAX_PRODUCT_UNITS, CompleteElement, HurwitzSeries, complete_mul
 from .errors import ExprSyntaxError, FreeBaxterError
 from .exprparse import eval_expr, parse_expr
 from .mixshuffle import (
@@ -30,13 +30,24 @@ from .standard import StandardElement, from_standard, to_standard
 DEFAULT_GENS = "x1,x2,x3,x4"
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, output: bool = True) -> None:
     parser.add_argument("--weight", default="lam",
                         help="weight polynomial in the coefficient namespace, naming no "
                              "generator (default: lam)")
     parser.add_argument("--gens", default=DEFAULT_GENS,
                         help="comma-separated generator names")
-    parser.add_argument("--output", choices=("text", "json"), default="text")
+    if output:
+        parser.add_argument("--output", choices=("text", "json"), default="text")
+
+
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,16 +87,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
 
     p = sub.add_parser("complete-mul", help="product of residue classes at a truncation")
-    _add_common(p)
+    _add_common(p, output=False)
     p.add_argument("--trunc", type=int, default=6)
     p.add_argument("left")
     p.add_argument("right")
 
     p = sub.add_parser("baxter-check",
                        help="randomized Baxter-identity and associativity suite")
-    _add_common(p)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-len", type=int, default=4)
+    _add_common(p, output=False)
+    p.add_argument("--trials", type=_at_least(0), default=100)
+    p.add_argument("--max-len", type=_at_least(1), default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--check-weight", default=None,
                    help="weight used inside the identity being checked "
@@ -148,9 +159,17 @@ def _cmd_count_shuffles(args) -> int:
 
 
 def _cmd_unit_product(args) -> int:
+    # the check's table has (m+1)(n+1) cells of at most min(m, n)+1 words each
+    m, n = args.m, args.n
+    units = (m + 1) * (n + 1) * (min(m, n) + 1)
+    if min(m, n) >= 0 and units > MAX_PRODUCT_UNITS:
+        raise ValueError(
+            f"the unit product {m} {n} would take up to {units:,} work units, "
+            f"over the limit of {MAX_PRODUCT_UNITS:,}"
+        )
     weight = _weight(args)
-    closed = unit_power_product(args.m, args.n, weight)
-    product = word_product(unit_word(args.m + 1), unit_word(args.n + 1), weight)
+    closed = unit_power_product(m, n, weight)
+    product = word_product(unit_word(m + 1), unit_word(n + 1), weight)
     _emit_element(closed, args)
     agree = closed == product
     print(f"agree: {'true' if agree else 'false'}")

@@ -1,54 +1,41 @@
 """Truncated completion of the shuffle algebra and the Hurwitz series ring.
 
 An element of the completion is modeled exactly as a residue class modulo the
-N-th filtration step: one homogeneous component per degree below the
-truncation level. The product of residue classes is one product of the top
-partial sums, cut to degrees below N; the degree bound of the word product
-makes every stored component exact.
+N-th filtration step, stored as one shuffle element: the words of degree
+below the truncation level. The product of residue classes is one product of
+the stored elements, cut to degrees below N; the degree bound of the word
+product makes every kept word exact.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from typing import Sequence
 
 from .coeffring import Polynomial, Weight, binomial, parse_polynomial
 from .errors import NotScalarBase, TruncMismatch, WeightNotZero
-from .mixshuffle import baxter_operator, mixable_counts, shuffle_product, unit_word
+from .mixshuffle import baxter_operator, mixable_counts, shuffle_product
 from .words import ShuffleElement
 
 
 class CompleteElement:
-    """A residue class of the completed shuffle algebra at truncation N:
-    components[k] is the homogeneous piece of degree k, 0 <= k < N."""
+    """A residue class of the completed shuffle algebra at truncation N,
+    stored as one shuffle element: the words of degree < N of any
+    representative."""
 
-    __slots__ = ("trunc", "_components")
+    __slots__ = ("trunc", "_element")
 
-    def __init__(self, trunc: int, components: dict[int, ShuffleElement] | None = None):
+    def __init__(self, trunc: int, element: ShuffleElement | None = None):
         if trunc < 1:
             raise ValueError("truncation level must be >= 1")
         self.trunc = trunc
-        comps = {}
-        if components:
-            for k, elem in components.items():
-                if not 0 <= k < trunc:
-                    continue
-                if elem.is_zero:
-                    continue
-                for w, _ in elem.terms():
-                    if w.degree != k:
-                        raise ValueError(f"component {k} contains a degree-{w.degree} word")
-                comps[k] = elem
-        self._components = comps
+        self._element = ShuffleElement.zero() if element is None else _cut(element, trunc - 1)
 
     @staticmethod
     def from_element(u: ShuffleElement, trunc: int) -> "CompleteElement":
-        """Split into homogeneous components and discard degrees >= trunc, in
-        one pass over the terms."""
-        groups: dict[int, dict] = {}
-        for w, c in u.terms():
-            if w.degree < trunc:
-                groups.setdefault(w.degree, {})[w] = c
-        return CompleteElement(trunc, {k: ShuffleElement(groups[k]) for k in sorted(groups)})
+        """The class of u: its words of degree >= trunc are discarded."""
+        return CompleteElement(trunc, u)
 
     @staticmethod
     def zero(trunc: int) -> "CompleteElement":
@@ -56,30 +43,25 @@ class CompleteElement:
 
     @staticmethod
     def one(trunc: int) -> "CompleteElement":
-        return CompleteElement.from_element(ShuffleElement.unit(), trunc)
+        return CompleteElement(trunc, ShuffleElement.unit())
 
     def component(self, k: int) -> ShuffleElement:
-        return self._components.get(k, ShuffleElement.zero())
+        return self._element.homogeneous_component(k)
 
     def partial_sum(self, k: int) -> ShuffleElement:
-        """The cutoff of this class at degree k: the sum of components <= k."""
-        return ShuffleElement.from_terms(
-            term for deg, elem in self._components.items() if deg <= k for term in elem.terms()
-        )
+        """The cutoff of this class at degree k: its words of degree <= k."""
+        return self._element if k >= self.trunc - 1 else _cut(self._element, k)
 
     @property
     def is_zero(self) -> bool:
-        return not self._components
+        return self._element.is_zero
 
     def __add__(self, other: "CompleteElement") -> "CompleteElement":
         self._check_trunc(other)
-        comps = dict(self._components)
-        for k, elem in other._components.items():
-            comps[k] = comps.get(k, ShuffleElement.zero()) + elem
-        return CompleteElement(self.trunc, {k: e for k, e in comps.items() if not e.is_zero})
+        return CompleteElement(self.trunc, self._element + other._element)
 
     def __neg__(self) -> "CompleteElement":
-        return CompleteElement(self.trunc, {k: -e for k, e in self._components.items()})
+        return CompleteElement(self.trunc, -self._element)
 
     def __sub__(self, other: "CompleteElement") -> "CompleteElement":
         return self + (-other)
@@ -87,23 +69,29 @@ class CompleteElement:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CompleteElement):
             return NotImplemented
-        return self.trunc == other.trunc and self._components == other._components
+        return self.trunc == other.trunc and self._element == other._element
 
     def __hash__(self) -> int:
-        return hash((self.trunc, frozenset(self._components.items())))
+        return hash((self.trunc, self._element))
 
     def _check_trunc(self, other: "CompleteElement") -> None:
         if self.trunc != other.trunc:
             raise TruncMismatch(f"truncation levels differ: {self.trunc} vs {other.trunc}")
 
     def __str__(self) -> str:
-        if not self._components:
-            return "0"
-        parts = [str(self._components[k]) for k in sorted(self._components)]
-        return " + ".join(parts)
+        """The nonzero components in ascending degree, joined by " + "."""
+        components: dict[int, dict] = {}
+        for w, c in self._element.terms():
+            components.setdefault(w.degree, {})[w] = c
+        return " + ".join(str(ShuffleElement(components[k])) for k in sorted(components)) or "0"
 
     def __repr__(self) -> str:
         return f"CompleteElement(trunc={self.trunc}, {self})"
+
+
+def _cut(u: ShuffleElement, top: int) -> ShuffleElement:
+    """The words of u of degree <= top."""
+    return ShuffleElement({w: c for w, c in u.terms() if w.degree <= top})
 
 
 # Most work units one `complete_mul` may need, predicted from closed forms.
@@ -114,15 +102,18 @@ class CompleteElement:
 # (Python 3.11, 2-vCPU VM), so the limit bounds a call to about ten
 # seconds: that class runs at truncation 6 (561,960 units, 5-7 s) and is
 # refused at truncation 7 (3,563,816). Over it a call raises ValueError
-# before building any word, instead of running for minutes.
+# before building any word, instead of running for minutes. The same limit
+# bounds the entry pairs of a Hurwitz series product.
 MAX_PRODUCT_UNITS = 1_000_000
 
 
 def _check_units(x: CompleteElement, y: CompleteElement, top: int) -> None:
+    xs = sorted(Counter(w.degree for w, _ in x._element.terms()).items())
+    ys = sorted(Counter(w.degree for w, _ in y._element.terms()).items())
     units = 0
-    for m, ex in x._components.items():
-        for n, ey in y._components.items():
-            pairs = len(ex.terms()) * len(ey.terms())
+    for m, xcount in xs:
+        for n, ycount in ys:
+            pairs = xcount * ycount
             units += pairs * (m + 1) * (n + 1)
             if units <= MAX_PRODUCT_UNITS:  # else skip the min(m, n) binomials
                 units += pairs * sum(
@@ -136,32 +127,27 @@ def _check_units(x: CompleteElement, y: CompleteElement, top: int) -> None:
 
 
 def complete_mul(x: CompleteElement, y: CompleteElement, weight: Weight) -> CompleteElement:
-    """Product of residue classes from one product of the top cutoffs, cut
+    """Product of residue classes: one product of the stored elements, cut
     to degree <= N - 1 inside the quasi-shuffle table. A word product of
     degrees i and j has degree between max(i, j) and i + j, so pairs with i
-    or j above k never reach degree k: the degree-k piece of the product of
-    the degree-(N-1) cutoffs is the stabilized component k. The table keeps
-    a tail at cell (i, j) only while it is at most N - 1 - max(i, j) long,
-    which drops exactly the words of degree >= N (see ``word_product``), so
-    no word past the truncation is built. Raises ValueError when the
-    predicted work passes MAX_PRODUCT_UNITS."""
+    or j above k never reach degree k: the degree-k piece of this product is
+    the stabilized component k. The table keeps a tail at cell (i, j) only
+    while it is at most N - 1 - max(i, j) long, which drops exactly the
+    words of degree >= N (see ``word_product``), so no word past the
+    truncation is built. Raises ValueError when the predicted work passes
+    MAX_PRODUCT_UNITS."""
     x._check_trunc(y)
     top = x.trunc - 1
     _check_units(x, y, top)
-    return CompleteElement.from_element(
-        shuffle_product(x.partial_sum(top), y.partial_sum(top), weight, top), x.trunc
-    )
+    return CompleteElement(x.trunc, shuffle_product(x._element, y._element, weight, top))
 
 
 def complete_operator(x: CompleteElement) -> CompleteElement:
-    """The shifted Baxter operator: component k of the result is the unit
-    prefix of component k-1; the top input component falls past the
-    truncation."""
-    comps = {}
-    for k, elem in x._components.items():
-        if k + 1 < x.trunc:
-            comps[k + 1] = baxter_operator(elem)
-    return CompleteElement(x.trunc, comps)
+    """The shifted Baxter operator: the unit prefix raises every word's
+    degree by one, so the top degree falls past the truncation. Tests use it
+    to check the paper's claim that the completion is a Baxter algebra: the
+    operator commutes with the projection and satisfies the Baxter identity."""
+    return CompleteElement(x.trunc, baxter_operator(x._element))
 
 
 class HurwitzSeries:
@@ -200,13 +186,26 @@ class HurwitzSeries:
         return HurwitzSeries([a - b for a, b in zip(self.entries, other.entries)])
 
     def __mul__(self, other: "HurwitzSeries") -> "HurwitzSeries":
+        """Binomial convolution over the pairs of nonzero entries whose slots
+        sum below the truncation, so zero padding costs nothing. Raises
+        ValueError when those pairs number over MAX_PRODUCT_UNITS."""
         self._check_trunc(other)
-        out = []
-        for n in range(self.trunc):
-            total = Polynomial.zero()
-            for k in range(n + 1):
-                total = total + binomial(n, k) * self.entries[k] * other.entries[n - k]
-            out.append(total)
+        trunc = self.trunc
+        left = [(k, e) for k, e in enumerate(self.entries) if not e.is_zero]
+        right = [(j, e) for j, e in enumerate(other.entries) if not e.is_zero]
+        slots = [j for j, _ in right]
+        pairs = sum(bisect_left(slots, trunc - k) for k, _ in left)
+        if pairs > MAX_PRODUCT_UNITS:
+            raise ValueError(
+                f"the series product at truncation {trunc} would take {pairs:,} entry "
+                f"pairs, over the limit of {MAX_PRODUCT_UNITS:,}"
+            )
+        out = [Polynomial.zero()] * trunc
+        for k, a in left:
+            for j, b in right:
+                if k + j >= trunc:
+                    break
+                out[k + j] = out[k + j] + binomial(k + j, k) * a * b
         return HurwitzSeries(out)
 
     def _check_trunc(self, other: "HurwitzSeries") -> None:
@@ -238,13 +237,14 @@ class HurwitzSeries:
 def hurwitz_iso(x: CompleteElement, weight: Weight) -> HurwitzSeries:
     """Read a residue class over the scalar base (all-unit words, weight 0)
     as a truncated Hurwitz series: the degree-n all-unit word maps to the n-th
-    basis sequence."""
+    basis sequence. Tests use it to check the paper's identification, at
+    weight 0, of the completion over the scalar base with the ring of
+    Hurwitz series: the map is additive and multiplicative."""
     if not weight.is_zero:
         raise WeightNotZero("the Hurwitz identification requires weight 0")
     entries = [Polynomial.zero()] * x.trunc
-    for k in range(x.trunc):
-        for word, coeff in x.component(k).terms():
-            if word != unit_word(k + 1):
-                raise NotScalarBase(f"word {word} has a non-unit factor")
-            entries[k] = entries[k] + coeff
+    for word, coeff in x._element.terms():
+        if not all(f.is_unit for f in word.factors):
+            raise NotScalarBase(f"word {word} has a non-unit factor")
+        entries[word.degree] = coeff
     return HurwitzSeries(entries)

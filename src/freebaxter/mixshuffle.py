@@ -9,17 +9,14 @@ contributes one power of the weight. That sum is the quasi-shuffle product
     (a.a') * (b.b') = a(a' * b.b') + b(a.a' * b') + lam.ab(a' * b'),
 
 which ``word_product`` computes bottom-up over suffix pairs, merging equal
-words as they form. The enumeration (``enumerate_shuffles``,
-``enumerate_mixable``, ``mixable_histogram``) is kept as the paper's
-definition and serves as the test oracle; it is not on the product path.
+words as they form. The explicit enumeration of mixable shuffles, the
+paper's definition, is the test oracle (``tests/helpers.py``); it is not on
+the product path.
 """
 
 from __future__ import annotations
 
-import itertools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Sequence
 
 from .coeffring import (
     Monomial,
@@ -28,91 +25,17 @@ from .coeffring import (
     Weight,
     binomial,
 )
-from .errors import MissingGeneratorImage, WeightMismatch
+from .errors import WeightMismatch
 from .words import ShuffleElement, TensorWord, _check_scalar
 
 
-@dataclass(frozen=True, slots=True)
-class ShufflePermutation:
-    """A permutation of {1..m+n} that keeps 1..m and m+1..m+n in increasing
-    order of position."""
-
-    m: int
-    n: int
-    images: tuple[int, ...]
-
-    def __call__(self, k: int) -> int:
-        return self.images[k - 1]
-
-    def __str__(self) -> str:
-        return "(" + " ".join(str(i) for i in self.images) + ")"
-
-
-@dataclass(frozen=True, slots=True)
-class MixableShuffle:
-    """A shuffle together with a chosen set of merged admissible pairs; the
-    set stores the left index k of each merged pair (k, k+1)."""
-
-    sigma: ShufflePermutation
-    merged: tuple[int, ...]
-
-
-def enumerate_shuffles(m: int, n: int) -> tuple[ShufflePermutation, ...]:
-    """All (m,n)-shuffles, ordered lexicographically by image sequence."""
-    if m < 0 or n < 0:
-        raise ValueError("block sizes must be nonnegative")
-    result = []
-    for left_positions in itertools.combinations(range(m + n), m):
-        images = [0] * (m + n)
-        left = set(left_positions)
-        li, ri = 1, m + 1
-        for pos in range(m + n):
-            if pos in left:
-                images[pos] = li
-                li += 1
-            else:
-                images[pos] = ri
-                ri += 1
-        result.append(ShufflePermutation(m, n, tuple(images)))
-    result.sort(key=lambda s: s.images)
-    return tuple(result)
-
-
-def admissible_pairs(sigma: ShufflePermutation) -> tuple[int, ...]:
-    """Indices k with sigma(k) <= m < sigma(k+1), in increasing order."""
-    m, total = sigma.m, sigma.m + sigma.n
-    return tuple(
-        k for k in range(1, total) if sigma(k) <= m < sigma(k + 1)
-    )
-
-
-def enumerate_mixable(m: int, n: int) -> tuple[MixableShuffle, ...]:
-    """All mixable (m,n)-shuffles: shuffles in lex order, merge subsets in
-    binary-counter order over the sorted admissible-pair list."""
-    result = []
-    for sigma in enumerate_shuffles(m, n):
-        pairs = admissible_pairs(sigma)
-        for size in range(len(pairs) + 1):
-            for merged in itertools.combinations(pairs, size):
-                result.append(MixableShuffle(sigma, merged))
-    return tuple(result)
-
-
 def mixable_counts(m: int, n: int) -> dict[int, int]:
-    """Closed form of ``mixable_histogram``: C(m+n-k, n) * C(n, k) mixable
-    (m,n)-shuffles merge k pairs, for k = 0..min(m, n); k = 0 counts the
+    """Counts of mixable (m,n)-shuffles by number of merged pairs, in closed
+    form: C(m+n-k, n) * C(n, k) mixable (m,n)-shuffles merge k pairs, for k = 0..min(m, n); k = 0 counts the
     plain shuffles."""
     if m < 0 or n < 0:
         raise ValueError("block sizes must be nonnegative")
     return {k: binomial(m + n - k, n) * binomial(n, k) for k in range(min(m, n) + 1)}
-
-
-def mixable_histogram(m: int, n: int) -> dict[int, int]:
-    """Counts of mixable (m,n)-shuffles by number of merged pairs."""
-    hist: dict[int, int] = {}
-    for ms in enumerate_mixable(m, n):
-        hist[len(ms.merged)] = hist.get(len(ms.merged), 0) + 1
-    return hist
 
 
 def word_product(
@@ -224,7 +147,9 @@ def fil_degree(u: ShuffleElement) -> int | float:
 
 def is_nonunital(u: ShuffleElement) -> bool:
     """True when no support word ends in the unit factor (the last factor of
-    every word lies in the augmentation ideal)."""
+    every word lies in the augmentation ideal). Tests use it to check the
+    paper's claim that these words span a non-unital Baxter subalgebra:
+    closed under the product and the operator."""
     return all(not w.factors[-1].is_unit for w, _ in u.terms())
 
 
@@ -277,35 +202,6 @@ def baxter_identity_holds(target: BaxterTarget, x, y, lam: Polynomial | None = N
     lhs = mul(op(x), op(y))
     rhs = op(mul(x, op(y))) + op(mul(y, op(x))) + target.scale(lam, op(mul(x, y)))
     return lhs == rhs
-
-
-class ScalarBaxterTarget(BaxterTarget):
-    """The base polynomial algebra with the operator a -> -weight*a, which
-    satisfies the Baxter identity for its weight."""
-
-    def __init__(self, weight: Weight, gens: Sequence[str] = ("x1", "x2")):
-        super().__init__(weight)
-        self._gens = frozenset(gens)
-
-    def zero(self):
-        return Polynomial.zero()
-
-    def one(self):
-        return Polynomial.one()
-
-    def mul(self, a, b):
-        return a * b
-
-    def scale(self, c, a):
-        return c * a
-
-    def apply_operator(self, a):
-        return -(self.weight.value * a)
-
-    def generator_image(self, var: Variable):
-        if var.name not in self._gens:
-            raise MissingGeneratorImage(f"no image declared for generator {var.name}")
-        return Polynomial.from_variable(var)
 
 
 class ShuffleSelfTarget(BaxterTarget):

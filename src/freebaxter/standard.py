@@ -312,7 +312,9 @@ def from_standard(s: StandardElement, weight: Weight) -> ShuffleElement:
 def prefix_sum_preimage(s: StandardElement, k: int, weight: Weight) -> StandardElement:
     """Exact right inverse of the prefix-sum operator on weight-divisible
     sequences vanishing up to entry k+1: returns r with the operator applied
-    to r equal to s at truncation, and r vanishing up to entry k."""
+    to r equal to s at truncation, and r vanishing up to entry k. Tests use
+    it to check the paper's degree bound for the sequence algebra: such a
+    sequence lies in the image of the operator, one degree lower."""
     if weight.is_zero:
         raise WeightZero("the preimage construction requires a nonzero weight")
     if s.is_zero:

@@ -9,11 +9,15 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from dataclasses import dataclass
+from typing import Sequence
 
 import freebaxter
 from freebaxter import (
     AbarWord,
+    BaxterTarget,
     CompleteElement,
+    MissingGeneratorImage,
     Monomial,
     NotInImage,
     Polynomial,
@@ -22,10 +26,10 @@ from freebaxter import (
     ShuffleSelfTarget,
     StandardElement,
     TensorWord,
+    Variable,
     Weight,
     WeightZero,
     coeff_var,
-    enumerate_mixable,
     extend_hom,
     gen_var,
     poly_exact_div,
@@ -96,6 +100,109 @@ def brute_shuffles(m: int, n: int) -> set[tuple[int, ...]]:
     return out
 
 
+@dataclass(frozen=True, slots=True)
+class ShufflePermutation:
+    """A permutation of {1..m+n} that keeps 1..m and m+1..m+n in increasing
+    order of position."""
+
+    m: int
+    n: int
+    images: tuple[int, ...]
+
+    def __call__(self, k: int) -> int:
+        return self.images[k - 1]
+
+    def __str__(self) -> str:
+        return "(" + " ".join(str(i) for i in self.images) + ")"
+
+
+@dataclass(frozen=True, slots=True)
+class MixableShuffle:
+    """A shuffle together with a chosen set of merged admissible pairs; the
+    set stores the left index k of each merged pair (k, k+1)."""
+
+    sigma: ShufflePermutation
+    merged: tuple[int, ...]
+
+
+def enumerate_shuffles(m: int, n: int) -> tuple[ShufflePermutation, ...]:
+    """All (m,n)-shuffles, ordered lexicographically by image sequence."""
+    if m < 0 or n < 0:
+        raise ValueError("block sizes must be nonnegative")
+    result = []
+    for left_positions in itertools.combinations(range(m + n), m):
+        images = [0] * (m + n)
+        left = set(left_positions)
+        li, ri = 1, m + 1
+        for pos in range(m + n):
+            if pos in left:
+                images[pos] = li
+                li += 1
+            else:
+                images[pos] = ri
+                ri += 1
+        result.append(ShufflePermutation(m, n, tuple(images)))
+    result.sort(key=lambda s: s.images)
+    return tuple(result)
+
+
+def admissible_pairs(sigma: ShufflePermutation) -> tuple[int, ...]:
+    """Indices k with sigma(k) <= m < sigma(k+1), in increasing order."""
+    m, total = sigma.m, sigma.m + sigma.n
+    return tuple(
+        k for k in range(1, total) if sigma(k) <= m < sigma(k + 1)
+    )
+
+
+def enumerate_mixable(m: int, n: int) -> tuple[MixableShuffle, ...]:
+    """All mixable (m,n)-shuffles: shuffles in lex order, merge subsets in
+    binary-counter order over the sorted admissible-pair list."""
+    result = []
+    for sigma in enumerate_shuffles(m, n):
+        pairs = admissible_pairs(sigma)
+        for size in range(len(pairs) + 1):
+            for merged in itertools.combinations(pairs, size):
+                result.append(MixableShuffle(sigma, merged))
+    return tuple(result)
+
+
+def mixable_histogram(m: int, n: int) -> dict[int, int]:
+    """Counts of mixable (m,n)-shuffles by number of merged pairs."""
+    hist: dict[int, int] = {}
+    for ms in enumerate_mixable(m, n):
+        hist[len(ms.merged)] = hist.get(len(ms.merged), 0) + 1
+    return hist
+
+
+class ScalarBaxterTarget(BaxterTarget):
+    """The base polynomial algebra with the operator a -> -weight*a, which
+    satisfies the Baxter identity for its weight."""
+
+    def __init__(self, weight: Weight, gens: Sequence[str] = ("x1", "x2")):
+        super().__init__(weight)
+        self._gens = frozenset(gens)
+
+    def zero(self):
+        return Polynomial.zero()
+
+    def one(self):
+        return Polynomial.one()
+
+    def mul(self, a, b):
+        return a * b
+
+    def scale(self, c, a):
+        return c * a
+
+    def apply_operator(self, a):
+        return -(self.weight.value * a)
+
+    def generator_image(self, var: Variable):
+        if var.name not in self._gens:
+            raise MissingGeneratorImage(f"no image declared for generator {var.name}")
+        return Polynomial.from_variable(var)
+
+
 def mixable_word_product(x: TensorWord, y: TensorWord, weight: Weight) -> ShuffleElement:
     """The product of two words by the paper's definition: a sum over every
     mixable (m,n)-shuffle, each merged pair contributing one power of the
@@ -158,13 +265,22 @@ def stabilized_complete_mul(
 ) -> CompleteElement:
     """Degreewise product of residue classes: component k is the degree-k
     piece of the product of the degree-k cutoffs, which has stabilized."""
-    comps = {}
-    for k in range(x.trunc):
-        product = shuffle_product(x.partial_sum(k), y.partial_sum(k), weight)
-        piece = product.homogeneous_component(k)
-        if not piece.is_zero:
-            comps[k] = piece
-    return CompleteElement(x.trunc, comps)
+    pieces = (
+        shuffle_product(x.partial_sum(k), y.partial_sum(k), weight).homogeneous_component(k)
+        for k in range(x.trunc)
+    )
+    return CompleteElement(x.trunc, ShuffleElement.from_terms(
+        term for piece in pieces for term in piece.terms()
+    ))
+
+
+def componentwise_str(x: CompleteElement) -> str:
+    """The residue-class printer by components: every nonzero homogeneous
+    component in ascending degree, printed as a shuffle element, joined by
+    " + "; "0" when all vanish."""
+    u = x.partial_sum(x.trunc - 1)
+    pieces = (u.homogeneous_component(k) for k in range(x.trunc))
+    return " + ".join(str(p) for p in pieces if not p.is_zero) or "0"
 
 
 def cut_to_degree(u: ShuffleElement, top: int) -> ShuffleElement:

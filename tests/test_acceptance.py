@@ -12,7 +12,6 @@ from freebaxter import (
     HurwitzSeries,
     Monomial,
     NotDivisible,
-    ScalarBaxterTarget,
     ShuffleElement,
     StandardElement,
     TensorWord,
@@ -21,14 +20,12 @@ from freebaxter import (
     binomial,
     complete_mul,
     complete_operator,
-    enumerate_shuffles,
     extend_hom,
     fil_degree,
     from_standard,
     gamma,
     gen_var,
     hurwitz_iso,
-    mixable_histogram,
     parse_expr,
     prefix_sum_operator,
     prefix_sum_preimage,
@@ -42,7 +39,14 @@ from freebaxter import (
 )
 from freebaxter.cli import main
 from freebaxter.randgen import random_shuffle_element, random_standard_element
-from helpers import GENS, baxter_identity_holds, random_ast
+from helpers import (
+    GENS,
+    ScalarBaxterTarget,
+    baxter_identity_holds,
+    enumerate_shuffles,
+    mixable_histogram,
+    random_ast,
+)
 
 LAM = Weight.default()
 ZERO = Weight.of(0)
@@ -130,12 +134,8 @@ def test_acceptance_06_operator_projection_square():
 
 
 def _random_scalar_class(rng, trunc):
-    comps = {}
-    for k in range(trunc):
-        c = rng.randint(-4, 4)
-        if c:
-            comps[k] = ShuffleElement.from_word(unit_word(k + 1), c)
-    return CompleteElement(trunc, comps)
+    terms = [(unit_word(k + 1), rng.randint(-4, 4)) for k in range(trunc)]
+    return CompleteElement(trunc, ShuffleElement.from_terms(terms))
 
 
 def test_acceptance_07_hurwitz():

@@ -7,12 +7,11 @@ import pytest
 from freebaxter import (
     ShuffleElement,
     Weight,
-    enumerate_shuffles,
-    mixable_histogram,
     to_standard,
 )
 from freebaxter.cli import main
 from freebaxter.exprparse import eval_expr, parse_expr
+from helpers import enumerate_shuffles, mixable_histogram
 
 
 def run(capsys, *argv):
@@ -168,10 +167,38 @@ def test_unit_product_large_is_fast(capsys):
     assert (code, out.splitlines()[-1]) == (0, "agree: true")
 
 
+def test_unit_product_over_budget_exit_2(capsys):
+    # 301 * 301 * 301 = 27,270,901 predicted units
+    start = time.perf_counter()
+    code, out, err = run(capsys, "unit-product", "300", "300")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: config: the unit product 300 300 would take up to 27,270,901 "
+                   "work units, over the limit of 1,000,000\n")
+
+
 def test_hurwitz_mul(capsys):
     code, out, _ = run(capsys, "hurwitz-mul", "--trunc", "4", "(0,1,0,0)", "(0,0,1,0)")
     assert code == 0
     assert out.strip() == "(0, 0, 0, 3)"
+
+
+def test_hurwitz_mul_zero_padding_is_free(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "hurwitz-mul", "--trunc", "3000", "(1)", "(1)")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (0, "(1" + ", 0" * 2999 + ")\n")
+
+
+def test_hurwitz_mul_over_budget_exit_2(capsys):
+    # two dense series at truncation 1500: sum over k of 1500 - k = 1,125,750 pairs
+    dense = "(" + ",".join(["1"] * 1500) + ")"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hurwitz-mul", "--trunc", "1500", dense, dense)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err == ("error: config: the series product at truncation 1500 would take "
+                   "1,125,750 entry pairs, over the limit of 1,000,000\n")
 
 
 def test_complete_mul(capsys):
@@ -218,6 +245,33 @@ def test_baxter_check_passes(capsys):
     assert lines[0] == "rng: mersenne-twister seed=3"
     assert lines[1] == "trials: 10"
     assert lines[2] == "failures: 0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("complete-mul", "--output", "json", "[1]", "[1]"),
+    ("baxter-check", "--output", "json", "--trials", "1"),
+])
+def test_output_option_refused_where_nothing_is_emitted(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--output" in err
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--trials", "-1", "argument --trials: must be >= 0, got -1"),
+    ("--max-len", "0", "argument --max-len: must be >= 1, got 0"),
+])
+def test_baxter_check_option_out_of_range_exit_2(capsys, option, value, message):
+    code, out, err = run(capsys, "baxter-check", option, value)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_complete_mul_negative_later_component(capsys):
+    # a later component with a leading minus prints as "+ -"; the expression
+    # grammar cannot read that text back
+    code, out, _ = run(capsys, "complete-mul", "--trunc", "3", "[1] - [1|1]", "[1]")
+    assert (code, out) == (0, "trunc: 3\n[1] + -[1|1]\n")
 
 
 def test_baxter_check_seed_reproducible(capsys):

@@ -3,6 +3,8 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freebaxter import (
     CompleteElement,
@@ -26,12 +28,19 @@ from freebaxter import (
 )
 from freebaxter import completion
 from freebaxter.randgen import random_shuffle_element
-from helpers import lambda_hurwitz_mul, pascal_binomial, stabilized_complete_mul
+from helpers import (
+    componentwise_str,
+    cut_to_degree,
+    lambda_hurwitz_mul,
+    pascal_binomial,
+    stabilized_complete_mul,
+)
 
 LAM = Weight.default()
 ZERO = Weight.of(0)
 N = 6
 X1 = Monomial.of(gen_var("x1"))
+X2 = Monomial.of(gen_var("x2"))
 ONE = Monomial.unit()
 
 
@@ -41,12 +50,6 @@ def test_from_element_discards_high_degrees():
     assert x.component(1) == ShuffleElement.from_word(unit_word(2))
     assert x.component(8) == ShuffleElement.zero()
     assert x == CompleteElement.from_element(ShuffleElement.from_word(unit_word(2)), N)
-
-
-def test_component_homogeneity_enforced():
-    mixed = ShuffleElement.from_word(unit_word(1)) + ShuffleElement.from_word(unit_word(2))
-    with pytest.raises(ValueError):
-        CompleteElement(N, {0: mixed})
 
 
 def test_partial_sums_stabilize():
@@ -93,9 +96,9 @@ def test_complete_mul_matches_degreewise_cutoffs(weight):
 
 def _unit_class(entries):
     """The all-unit class sum_n entries[n] * [1|..|1] (n+1 factors)."""
-    return CompleteElement(len(entries), {
-        n: ShuffleElement.from_word(unit_word(n + 1), c) for n, c in enumerate(entries) if c
-    })
+    return CompleteElement(len(entries), ShuffleElement.from_terms(
+        (unit_word(n + 1), c) for n, c in enumerate(entries)
+    ))
 
 
 @pytest.mark.parametrize("weight", ORACLE_WEIGHTS, ids=str)
@@ -126,11 +129,41 @@ def test_from_element_matches_degreewise_split():
     for _ in range(30):
         u = random_shuffle_element(rng, max_len=6)
         for trunc in range(1, 8):
-            comps = {k: u.homogeneous_component(k) for k in range(trunc)}
-            want = CompleteElement(trunc, {k: c for k, c in comps.items() if not c.is_zero})
             got = CompleteElement.from_element(u, trunc)
-            assert got == want
-            assert str(got) == str(want)
+            for k in range(trunc + 2):
+                want = u.homogeneous_component(k) if k < trunc else ShuffleElement.zero()
+                assert got.component(k) == want
+            for k in range(trunc + 2):
+                assert got.partial_sum(k) == cut_to_degree(u, min(k, trunc - 1))
+            assert str(got) == componentwise_str(got)
+
+
+def test_str_matches_componentwise_printer():
+    rng = random.Random(91)
+    for _ in range(50):
+        trunc = rng.randint(1, 7)
+        x = CompleteElement.from_element(random_shuffle_element(rng, max_len=6), trunc)
+        assert str(x) == componentwise_str(x)
+        assert str(-x) == componentwise_str(-x)
+    assert str(CompleteElement.zero(N)) == componentwise_str(CompleteElement.zero(N)) == "0"
+    negative = CompleteElement.from_element(
+        ShuffleElement.unit() - ShuffleElement.from_word(unit_word(2)), 3
+    )
+    assert str(negative) == componentwise_str(negative) == "[1] + -[1|1]"
+
+
+_letters = st.sampled_from([ONE, X1, X2, X1 * X2])
+_words = st.lists(_letters, min_size=1, max_size=6).map(lambda fs: TensorWord(tuple(fs)))
+_elements = st.lists(st.tuples(_words, st.integers(-3, 3)), max_size=8).map(
+    ShuffleElement.from_terms
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_elements, st.integers(1, 7))
+def test_str_matches_componentwise_printer_hypothesis(u, trunc):
+    x = CompleteElement.from_element(u, trunc)
+    assert str(x) == componentwise_str(x)
 
 
 def test_from_element_huge_truncation_is_one_pass():
@@ -153,6 +186,20 @@ def test_product_budget_is_the_predicted_count(monkeypatch):
     assert complete_mul(x, y, LAM) == product
     monkeypatch.setattr(completion, "MAX_PRODUCT_UNITS", 7)
     with pytest.raises(ValueError, match="at least 8 work units, over the limit of 7"):
+        complete_mul(x, y, LAM)
+
+
+def test_product_budget_counts_degrees_in_ascending_order(monkeypatch):
+    """x = [x1|x1] + [x1], degree 1 stored first, times [1|x1|x1] at
+    truncation 3. In ascending degree the (0, 2) pair predicts 3 cells + 1
+    shuffle and the (1, 2) pair 6 cells, so a limit of 5 is passed at 10;
+    counting the degree-1 word first would report 6."""
+    x = CompleteElement.from_element(ShuffleElement.from_terms(
+        [(TensorWord((X1, X1)), 1), (TensorWord((X1,)), 1)]
+    ), 3)
+    y = CompleteElement.from_element(ShuffleElement.from_word(TensorWord((ONE, X1, X1))), 3)
+    monkeypatch.setattr(completion, "MAX_PRODUCT_UNITS", 5)
+    with pytest.raises(ValueError, match="at least 10 work units, over the limit of 5"):
         complete_mul(x, y, LAM)
 
 
@@ -214,9 +261,7 @@ def test_complete_operator_baxter_identity():
         weight=LAM,
         add=lambda a, b: a + b,
         mul=lambda a, b: complete_mul(a, b, LAM),
-        scale=lambda c, a: CompleteElement(
-            a.trunc, {k: a.component(k).scale(c) for k in range(a.trunc)}
-        ),
+        scale=lambda c, a: CompleteElement(a.trunc, a.partial_sum(a.trunc - 1).scale(c)),
         apply_operator=complete_operator,
     )
     rng = random.Random(56)
@@ -278,12 +323,8 @@ def test_hurwitz_iso_examples():
 
 
 def _random_scalar_class(rng, trunc):
-    comps = {}
-    for k in range(trunc):
-        c = rng.randint(-4, 4)
-        if c:
-            comps[k] = ShuffleElement.from_word(unit_word(k + 1), c)
-    return CompleteElement(trunc, comps)
+    terms = [(unit_word(k + 1), rng.randint(-4, 4)) for k in range(trunc)]
+    return CompleteElement(trunc, ShuffleElement.from_terms(terms))
 
 
 def test_hurwitz_iso_is_ring_map():

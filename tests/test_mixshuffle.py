@@ -8,23 +8,18 @@ import freebaxter
 from freebaxter import (
     Monomial,
     Polynomial,
-    ScalarBaxterTarget,
     ShuffleElement,
     ShuffleSelfTarget,
     TensorWord,
     Weight,
     WeightMismatch,
-    admissible_pairs,
     baxter_operator,
     binomial,
     coeff_var,
-    enumerate_mixable,
-    enumerate_shuffles,
     extend_hom,
     fil_degree,
     gen_var,
     is_nonunital,
-    mixable_histogram,
     shuffle_product,
     unit_power_product,
     unit_word,
@@ -33,9 +28,14 @@ from freebaxter import (
 from freebaxter.randgen import random_shuffle_element
 from helpers import (
     GENS,
+    ScalarBaxterTarget,
+    admissible_pairs,
     baxter_identity_holds,
     brute_shuffles,
     cut_to_degree,
+    enumerate_mixable,
+    enumerate_shuffles,
+    mixable_histogram,
     mixable_word_product,
 )
 
