@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import DivisorZero, ExprSyntaxError, NamespaceViolation, NotDivisible
 
@@ -341,106 +341,110 @@ class Weight:
         return str(self.value)
 
 
-# -- polynomial text parsing -------------------------------------------------
+# -- text reading ------------------------------------------------------------
 
-_POLY_TOKEN = re.compile(r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*^]))")
+_TOKEN = re.compile(
+    r"(?P<ws>\s+)|(?P<nat>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<sym>[-+*^()\[\]|,])"
+)
 
 
-def _poly_tokens(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _POLY_TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            column = len(text) - len(stripped) + 1
-            raise ExprSyntaxError(f"unexpected character {stripped[0]!r}", column=column)
-        pos = m.end()
-        if m.group("nat") is not None:
-            tokens.append(("nat", m.group("nat"), m.start("nat")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
+class Cursor:
+    """The one lexer of the package: the tokens of a text, read front to
+    back. A token is a (kind, text, offset) triple whose kind is ``nat``,
+    ``ident``, or the symbol itself; a last ``end`` token sits at the end of
+    the last real one. Every text reader of the package runs on a cursor."""
+
+    __slots__ = ("text", "tokens", "idx")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = []
+        self.idx = 0
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN.match(text, pos)
+            if m is None:
+                self.fail(f"unexpected character {text[pos]!r}", pos)
+            kind = m.lastgroup
+            if kind != "ws":
+                self.tokens.append((m.group() if kind == "sym" else kind, m.group(), pos))
+            pos = m.end()
+        last = self.tokens[-1] if self.tokens else ("end", "", 0)
+        self.tokens.append(("end", "", last[2] + len(last[1])))
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.idx]
+
+    def accept(self, kind: str) -> tuple[str, str, int] | None:
+        """Consume and return the next token if it has this kind."""
+        tok = self.tokens[self.idx]
+        if tok[0] != kind:
+            return None
+        self.idx += 1
+        return tok
+
+    def fail(self, message: str, offset: int | None = None):
+        """Raise ExprSyntaxError at the line and column of ``offset``, by
+        default that of the next token."""
+        if offset is None:
+            offset = self.tokens[self.idx][2]
+        line = self.text.count("\n", 0, offset) + 1
+        raise ExprSyntaxError(message, line, offset - self.text.rfind("\n", 0, offset))
+
+
+# the tokens that may follow a polynomial: a bracket, bar or comma of the
+# enclosing text, or the end
+_AFTER_POLYNOMIAL = frozenset("()[]|,") | {"end"}
+
+
+def _read_power(cur: Cursor, gens: Collection[str]) -> Monomial:
+    tok = cur.accept("ident")
+    if tok is None:
+        cur.fail("expected a variable name")
+    var = gen_var(tok[1]) if tok[1] in gens else coeff_var(tok[1])
+    if not cur.accept("^"):
+        return Monomial.of(var)
+    tok = cur.accept("nat")
+    if tok is None:
+        cur.fail("expected an exponent after '^'")
+    if int(tok[1]) <= 0:
+        cur.fail("exponent must be positive", tok[2])
+    return Monomial.of(var, int(tok[1]))
+
+
+def read_polynomial(cur: Cursor, gens: Collection[str]) -> Polynomial:
+    """Read the polynomial grammar from ``cur``: signed terms joined by
+    ``+``/``-``, each term an optional integer with ``*``-separated variable
+    powers ``v^k``. Identifiers in ``gens`` resolve to the generator
+    namespace, all others to the coefficient namespace. Stops before a
+    bracket, bar, comma or the end; any other token after a term fails."""
+    terms: dict[Monomial, int] = {}
+    sep = cur.accept("-") or cur.accept("+")
+    while True:
+        tok = cur.accept("nat")
+        if tok is not None:
+            coeff, mono = int(tok[1]), _UNIT_MONOMIAL
+        elif cur.peek()[0] == "ident":
+            coeff, mono = 1, _read_power(cur, gens)
         else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-    return tokens
+            cur.fail("expected a term")
+        while cur.accept("*"):
+            mono = mono * _read_power(cur, gens)
+        terms[mono] = terms.get(mono, 0) + (-coeff if sep and sep[0] == "-" else coeff)
+        sep = cur.accept("+") or cur.accept("-")
+        if sep is None:
+            if cur.peek()[0] in _AFTER_POLYNOMIAL:
+                return Polynomial(terms)
+            cur.fail("expected '+' or '-'")
 
 
 def parse_polynomial(text: str, gens: Iterable[str] = ()) -> Polynomial:
-    """Parse the polynomial text grammar: signed terms joined by ``+``/``-``,
-    each term an optional integer with ``*``-separated variable powers ``v^k``.
-    Identifiers in ``gens`` resolve to the generator namespace, all others to
-    the coefficient namespace."""
-    genset = frozenset(gens)
-    tokens = _poly_tokens(text)
-    idx = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else (None, None, len(text))
-
-    def error(msg, at):
-        raise ExprSyntaxError(msg, column=at + 1)
-
-    def parse_varpow() -> Monomial:
-        nonlocal idx
-        kind, value, at = peek()
-        if kind != "ident":
-            error("expected a variable name", at)
-        idx += 1
-        var = gen_var(value) if value in genset else coeff_var(value)
-        exp = 1
-        kind, value, at = peek()
-        if kind == "op" and value == "^":
-            idx += 1
-            kind, value, at = peek()
-            if kind != "nat":
-                error("expected an exponent after '^'", at)
-            exp = int(value)
-            if exp <= 0:
-                error("exponent must be positive", at)
-            idx += 1
-        return Monomial.of(var, exp)
-
-    def parse_term() -> Polynomial:
-        nonlocal idx
-        kind, value, at = peek()
-        coeff = 1
-        mono = _UNIT_MONOMIAL
-        if kind == "nat":
-            coeff = int(value)
-            idx += 1
-            kind, value, at = peek()
-            while kind == "op" and value == "*":
-                idx += 1
-                mono = mono * parse_varpow()
-                kind, value, at = peek()
-        elif kind == "ident":
-            mono = parse_varpow()
-            kind, value, at = peek()
-            while kind == "op" and value == "*":
-                idx += 1
-                mono = mono * parse_varpow()
-                kind, value, at = peek()
-        else:
-            error("expected a term", at)
-        return Polynomial({mono: coeff})
-
-    result = Polynomial.zero()
-    sign = 1
-    kind, value, at = peek()
-    if kind == "op" and value in "+-":
-        sign = -1 if value == "-" else 1
-        idx += 1
-    result = result + sign * parse_term()
-    while idx < len(tokens):
-        kind, value, at = peek()
-        if kind != "op" or value not in "+-":
-            error("expected '+' or '-'", at)
-        idx += 1
-        term = parse_term()
-        result = result - term if value == "-" else result + term
-    return result
+    """Parse a whole text in the polynomial grammar of ``read_polynomial``."""
+    cur = Cursor(text)
+    poly = read_polynomial(cur, frozenset(gens))
+    if cur.peek()[0] != "end":
+        cur.fail("expected '+' or '-'")
+    return poly
 
 
 def parse_scalar(text: str, gens: Iterable[str], what: str) -> Polynomial:

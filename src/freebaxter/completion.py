@@ -13,7 +13,7 @@ from bisect import bisect_left
 from collections import Counter
 from typing import Sequence
 
-from .coeffring import Polynomial, Weight, binomial, parse_polynomial
+from .coeffring import Cursor, Polynomial, Weight, binomial, read_polynomial
 from .errors import NotScalarBase, TruncMismatch, WeightNotZero
 from .mixshuffle import baxter_operator, mixable_counts, shuffle_product
 from .words import ShuffleElement
@@ -228,10 +228,18 @@ class HurwitzSeries:
 
     @staticmethod
     def parse(text: str) -> "HurwitzSeries":
-        body = text.strip()
-        if body.startswith("(") and body.endswith(")"):
-            body = body[1:-1]
-        return HurwitzSeries([parse_polynomial(part) for part in body.split(",")])
+        """Read ``(e0, e1, ...)``, entries in the polynomial grammar; the
+        parentheses may be left out."""
+        cur = Cursor(text)
+        opened = cur.accept("(")
+        entries = [read_polynomial(cur, ())]
+        while cur.accept(","):
+            entries.append(read_polynomial(cur, ()))
+        if opened and not cur.accept(")"):
+            cur.fail("expected ',' or ')'")
+        if cur.peek()[0] != "end":
+            cur.fail("unexpected trailing input")
+        return HurwitzSeries(entries)
 
 
 def hurwitz_iso(x: CompleteElement, weight: Weight) -> HurwitzSeries:

@@ -1,14 +1,17 @@
 """Expression front end for the shuffle algebra.
 
-Grammar (whitespace insensitive, ``P`` reserved for the Baxter operator):
+Grammar (whitespace insensitive; ``P`` followed by ``(`` is the Baxter
+operator, any other ``P`` an identifier):
 
-    expr := prod (('+'|'-') prod)*
-    prod := pow ('*' pow)*
-    pow  := atom ('^' nat)?
-    atom := nat | ident | 'P' '(' expr ')' | '(' expr ')'
-          | '[' poly ('|' poly)* ']'
+    expr   := signed (('+'|'-') signed)*
+    signed := '-' signed | prod
+    prod   := pow ('*' pow)*
+    pow    := atom ('^' nat)?
+    atom   := nat | ident | 'P' '(' expr ')' | '(' expr ')'
+            | '[' poly ('|' poly)* ']'
 
-where ``poly`` is the polynomial grammar of ``coeffring.parse_polynomial``.
+where ``poly`` is the polynomial grammar of ``coeffring.read_polynomial``,
+read from the same token cursor.
 
 The printer emits the canonical grammar, so printing then parsing is the
 identity on parser output shapes (left-associated chains).
@@ -16,19 +19,18 @@ identity on parser output shapes (left-associated chains).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable
 
 from .coeffring import (
+    Cursor,
     Monomial,
     Polynomial,
     Weight,
     coeff_var,
     gen_var,
-    parse_polynomial,
+    read_polynomial,
 )
-from .errors import ExprSyntaxError
 from .mixshuffle import baxter_operator, shuffle_product
 from .words import ShuffleElement, TensorWord
 
@@ -88,155 +90,91 @@ class PApply(ExprNode):
     child: ExprNode
 
 
-_TOKEN = re.compile(
-    r"(?P<ws>\s+)|(?P<nat>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<sym>[-+*^()\[\]|])"
-)
-
-
 @dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    text: str
-    offset: int
-
-
-def _line_col(text: str, offset: int) -> tuple[int, int]:
-    """1-based line and column of a character offset."""
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", *_line_col(text, pos))
-        if m.lastgroup != "ws":
-            tokens.append(_Token(m.lastgroup, m.group(0), pos))
-        pos = m.end()
-    return tokens
+class Neg(ExprNode):
+    child: ExprNode
 
 
 class _Parser:
     def __init__(self, text: str, gens: Iterable[str]):
-        self.text = text
-        self.tokens = _tokenize(text)
+        self.cur = Cursor(text)
         self.gens = frozenset(gens)
-        self.idx = 0
-
-    def _peek(self) -> _Token | None:
-        return self.tokens[self.idx] if self.idx < len(self.tokens) else None
-
-    def _offset(self) -> int:
-        """Offset of the next token, or the end of the last one."""
-        tok = self._peek()
-        if tok is not None:
-            return tok.offset
-        last = self.tokens[-1] if self.tokens else None
-        return last.offset + len(last.text) if last else 0
 
     def _error(self, message: str):
-        tok = self._peek()
-        position = _line_col(self.text, self._offset())
-        if tok is None:
-            raise ExprSyntaxError(message + " (at end of input)", *position)
-        raise ExprSyntaxError(f"{message}, found {tok.text!r}", *position)
+        kind, text, _ = self.cur.peek()
+        if kind == "end":
+            self.cur.fail(message + " (at end of input)")
+        self.cur.fail(f"{message}, found {text!r}")
 
-    def _accept(self, kind: str, text: str | None = None) -> _Token | None:
-        tok = self._peek()
-        if tok and tok.kind == kind and (text is None or tok.text == text):
-            self.idx += 1
-            return tok
-        return None
-
-    def _expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self._accept(kind, text)
-        if tok is None:
-            self._error(f"expected {text or kind}")
-        return tok
+    def _expect(self, kind: str) -> None:
+        if self.cur.accept(kind) is None:
+            self._error(f"expected {kind}")
 
     def parse(self) -> ExprNode:
         node = self.expr()
-        if self._peek() is not None:
+        if self.cur.peek()[0] != "end":
             self._error("unexpected trailing input")
         return node
 
     def expr(self) -> ExprNode:
-        node = self.prod()
+        node = self.signed()
         while True:
-            if self._accept("sym", "+"):
-                node = Add(node, self.prod())
-            elif self._accept("sym", "-"):
-                node = Sub(node, self.prod())
+            if self.cur.accept("+"):
+                node = Add(node, self.signed())
+            elif self.cur.accept("-"):
+                node = Sub(node, self.signed())
             else:
                 return node
 
+    def signed(self) -> ExprNode:
+        if self.cur.accept("-"):
+            return Neg(self.signed())
+        return self.prod()
+
     def prod(self) -> ExprNode:
         node = self.pow()
-        while self._accept("sym", "*"):
+        while self.cur.accept("*"):
             node = Mul(node, self.pow())
         return node
 
     def pow(self) -> ExprNode:
         node = self.atom()
-        if self._accept("sym", "^"):
-            tok = self._peek()
-            if tok is None or tok.kind != "nat":
+        if self.cur.accept("^"):
+            tok = self.cur.accept("nat")
+            if tok is None:
                 self._error("expected a nonnegative integer exponent")
-            self.idx += 1
-            node = Pow(node, int(tok.text))
+            node = Pow(node, int(tok[1]))
         return node
 
     def atom(self) -> ExprNode:
-        tok = self._peek()
-        if tok is None:
-            self._error("expected an expression")
-        if tok.kind == "nat":
-            self.idx += 1
-            return IntLit(int(tok.text))
-        if tok.kind == "ident":
-            self.idx += 1
-            if tok.text == "P":
-                self._expect("sym", "(")
+        cur = self.cur
+        if tok := cur.accept("nat"):
+            return IntLit(int(tok[1]))
+        if tok := cur.accept("ident"):
+            name = tok[1]
+            if name == "P" and cur.accept("("):
                 child = self.expr()
-                self._expect("sym", ")")
+                self._expect(")")
                 return PApply(child)
-            if tok.text in self.gens:
-                return GenVar(tok.text)
-            return CoeffVar(tok.text)
-        if tok.text == "(":
-            self.idx += 1
+            return GenVar(name) if name in self.gens else CoeffVar(name)
+        if cur.accept("("):
             node = self.expr()
-            self._expect("sym", ")")
+            self._expect(")")
             return node
-        if tok.text == "[":
-            self.idx += 1
-            factors = [self.word_factor()]
-            while self._accept("sym", "|"):
-                factors.append(self.word_factor())
-            self._expect("sym", "]")
+        if cur.accept("["):
+            factors = [read_polynomial(cur, self.gens)]
+            while cur.accept("|"):
+                factors.append(read_polynomial(cur, self.gens))
+            self._expect("]")
             return WordLit(tuple(factors))
         self._error("expected an expression")
-
-    def word_factor(self) -> Polynomial:
-        """One factor of a word literal: the source text up to the next
-        bracket, parenthesis or bar, read by ``parse_polynomial``."""
-        start = self._offset()
-        while (tok := self._peek()) is not None and (tok.kind != "sym" or tok.text in "-+*^"):
-            self.idx += 1
-        try:
-            return parse_polynomial(self.text[start:self._offset()], self.gens)
-        except ExprSyntaxError as exc:
-            position = _line_col(self.text, start + exc.column - 1)
-            raise ExprSyntaxError(exc.message, *position) from None
 
 
 def parse_expr(text: str, gens: Iterable[str] = ()) -> ExprNode:
     return _Parser(text, gens).parse()
 
 
-_PREC_ADD, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4
+_PREC_ADD, _PREC_NEG, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 
 def _print(node: ExprNode, parent_prec: int) -> str:
@@ -255,6 +193,8 @@ def _print(node: ExprNode, parent_prec: int) -> str:
     elif isinstance(node, Sub):
         text = f"{_print(node.left, _PREC_ADD)} - {_print(node.right, _PREC_ADD + 1)}"
         prec = _PREC_ADD
+    elif isinstance(node, Neg):
+        text, prec = f"-{_print(node.child, _PREC_NEG)}", _PREC_NEG
     elif isinstance(node, Mul):
         text = f"{_print(node.left, _PREC_MUL)} * {_print(node.right, _PREC_MUL + 1)}"
         prec = _PREC_MUL
@@ -290,11 +230,19 @@ def eval_expr(node: ExprNode, weight: Weight) -> ShuffleElement:
         return eval_expr(node.left, weight) - eval_expr(node.right, weight)
     if isinstance(node, Mul):
         return shuffle_product(eval_expr(node.left, weight), eval_expr(node.right, weight), weight)
+    if isinstance(node, Neg):
+        return -eval_expr(node.child, weight)
     if isinstance(node, Pow):
+        # square and multiply, squaring only while bits of the exponent remain
         result = ShuffleElement.unit()
         base = eval_expr(node.base, weight)
-        for _ in range(node.exponent):
-            result = shuffle_product(result, base, weight)
+        exp = node.exponent
+        while exp:
+            if exp & 1:
+                result = shuffle_product(result, base, weight)
+            exp >>= 1
+            if exp:
+                base = shuffle_product(base, base, weight)
         return result
     if isinstance(node, PApply):
         return baxter_operator(eval_expr(node.child, weight))

@@ -160,15 +160,29 @@ class _LinearElement:
     def terms(self):
         return self._terms.items()
 
+    @classmethod
+    def _of(cls, terms: dict):
+        """Wrap terms already canonical, without the constructor's pass."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
+
     def __add__(self, other):
         if type(other) is not type(self):
             raise KindMismatch(
                 f"cannot add {type(self).__name__} and {type(other).__name__}"
             )
-        return self.from_terms(chain(self.terms(), other.terms()))
+        # the copy keeps the stored word hashes: only other's words are hashed
+        terms = dict(self._terms)
+        for word, coeff in other._terms.items():
+            prev = terms.pop(word, None)
+            total = coeff if prev is None else prev + coeff
+            if not total.is_zero:
+                terms[word] = total
+        return self._of(terms)
 
     def __neg__(self):
-        return type(self)({w: -c for w, c in self._terms.items()})
+        return self._of({w: -c for w, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -190,15 +204,14 @@ class _LinearElement:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def _sorted_words(self):
-        return sorted(self._terms, key=word_key)
+    def _sorted_terms(self):
+        return sorted(self._terms.items(), key=lambda term: word_key(term[0]))
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         pieces = []
-        for word in self._sorted_words():
-            coeff = self._terms[word]
+        for word, coeff in self._sorted_terms():
             word_str, cstr = str(word), str(coeff)
             if len(coeff._terms) > 1:
                 body, negative = f"({cstr})*{word_str}", False
@@ -215,10 +228,10 @@ class _LinearElement:
         return {
             "terms": [
                 {
-                    "coeff": str(self._terms[w]),
+                    "coeff": str(c),
                     "word": [str(f) for f in w.factors],
                 }
-                for w in self._sorted_words()
+                for w, c in self._sorted_terms()
             ]
         }
 

@@ -41,6 +41,7 @@ from freebaxter.exprparse import (
     GenVar,
     IntLit,
     Mul,
+    Neg,
     PApply,
     Pow,
     Sub,
@@ -393,11 +394,15 @@ def random_ast(rng: random.Random, depth: int = 0):
             node = Mul(node, power(d))
         return node
 
-    def expr(d):
+    def signed(d):
         node = prod(d)
+        return Neg(node) if rng.random() < 0.15 else node
+
+    def expr(d):
+        node = signed(d)
         for _ in range(rng.randint(0, 2)):
             cls = Add if rng.random() < 0.5 else Sub
-            node = cls(node, prod(d))
+            node = cls(node, signed(d))
         return node
 
     return expr(depth)

@@ -268,10 +268,25 @@ def test_baxter_check_option_out_of_range_exit_2(capsys, option, value, message)
 
 
 def test_complete_mul_negative_later_component(capsys):
-    # a later component with a leading minus prints as "+ -"; the expression
-    # grammar cannot read that text back
+    # a later component with a leading minus prints as "+ -", which the
+    # prefix minus of the expression grammar reads back
     code, out, _ = run(capsys, "complete-mul", "--trunc", "3", "[1] - [1|1]", "[1]")
     assert (code, out) == (0, "trunc: 3\n[1] + -[1|1]\n")
+    code, out, _ = run(capsys, "complete-mul", "--trunc", "3", "[1] + -[1|1]", "[1]")
+    assert (code, out) == (0, "trunc: 3\n[1] + -[1|1]\n")
+
+
+@pytest.mark.parametrize("expr, printed", [
+    ("-[1]", "-[1]"),
+    ("[1] + -[1|1]", "-[1|1] + [1]"),
+    ("[P*x1]", "P*[x1]"),
+])
+def test_eval_output_reads_back(capsys, expr, printed):
+    # an argument that starts with "-" follows "--"
+    code, out, _ = run(capsys, "eval", "--", expr)
+    assert (code, out) == (0, printed + "\n")
+    code, out, _ = run(capsys, "eval", "--", printed)
+    assert (code, out) == (0, printed + "\n")
 
 
 def test_baxter_check_seed_reproducible(capsys):

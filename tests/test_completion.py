@@ -21,8 +21,10 @@ from freebaxter import (
     binomial,
     complete_mul,
     complete_operator,
+    eval_expr,
     gen_var,
     hurwitz_iso,
+    parse_expr,
     shuffle_product,
     unit_word,
 )
@@ -164,6 +166,14 @@ _elements = st.lists(st.tuples(_words, st.integers(-3, 3)), max_size=8).map(
 def test_str_matches_componentwise_printer_hypothesis(u, trunc):
     x = CompleteElement.from_element(u, trunc)
     assert str(x) == componentwise_str(x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_elements, st.integers(1, 7))
+def test_class_text_reads_back(u, trunc):
+    x = CompleteElement.from_element(u, trunc)
+    back = eval_expr(parse_expr(str(x), ("x1", "x2")), LAM)
+    assert CompleteElement.from_element(back, trunc) == x
 
 
 def test_from_element_huge_truncation_is_one_pass():

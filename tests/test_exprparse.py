@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from freebaxter import (
     ExprSyntaxError,
+    HurwitzSeries,
     Monomial,
     Polynomial,
     ShuffleElement,
@@ -20,7 +22,20 @@ from freebaxter import (
     print_expr,
     shuffle_product,
 )
-from freebaxter.exprparse import Add, GenVar, IntLit, Mul, PApply, Pow, WordLit
+from freebaxter import exprparse
+from freebaxter.exprparse import (
+    Add,
+    CoeffVar,
+    GenVar,
+    IntLit,
+    Mul,
+    Neg,
+    PApply,
+    Pow,
+    Sub,
+    WordLit,
+)
+from freebaxter.randgen import random_shuffle_element
 from helpers import GENS, random_ast
 
 LAM = Weight.default()
@@ -173,3 +188,130 @@ def test_eval_random_roundtrip_shallow():
         reparsed = parse_expr(print_expr(node), GENS)
         assert eval_expr(reparsed, LAM) == eval_expr(node, LAM)
         assert eval_expr(PApply(node), LAM) == baxter_operator(eval_expr(node, LAM))
+
+
+def test_prefix_minus_binds_looser_than_product_and_power():
+    one, x1 = WordLit((Polynomial.one(),)), GenVar("x1")
+    assert parse_expr("-[1]^2", GENS) == Neg(Pow(one, 2))
+    assert parse_expr("-x1*[1]", GENS) == Neg(Mul(x1, one))
+    assert parse_expr("[1] + -[1]", GENS) == Add(one, Neg(one))
+    assert parse_expr("x1 - -x1", GENS) == Sub(x1, Neg(x1))
+    assert parse_expr("--x1", GENS) == Neg(Neg(x1))
+    assert parse_expr("P(-x1)", GENS) == PApply(Neg(x1))
+    assert parse_expr("(-x1)^2", GENS) == Pow(Neg(x1), 2)
+    assert ev("-[1]^2") == -ShuffleElement.unit()
+    with pytest.raises(ExprSyntaxError):
+        parse_expr("x1*-x1", GENS)
+
+
+def test_p_without_parenthesis_is_an_identifier():
+    x1_word = WordLit((parse_polynomial("x1", GENS),))
+    assert parse_expr("P*[x1]", GENS) == Mul(CoeffVar("P"), x1_word)
+    assert parse_expr("P^2", GENS) == Pow(CoeffVar("P"), 2)
+    assert parse_expr("P(x1)", GENS) == PApply(GenVar("x1"))
+
+
+_coeff_monos = st.dictionaries(
+    st.sampled_from([coeff_var("lam"), coeff_var("c1"), coeff_var("P")]), st.integers(1, 2),
+    max_size=2,
+).map(Monomial.make)
+_coeffs = st.dictionaries(_coeff_monos, st.integers(-3, 3), max_size=3).map(Polynomial)
+_gen_monos = st.dictionaries(
+    st.sampled_from([gen_var("x1"), gen_var("x2")]), st.integers(1, 2), max_size=2
+).map(Monomial.make)
+_words = st.lists(_gen_monos, min_size=1, max_size=4).map(lambda fs: TensorWord(tuple(fs)))
+_shuffle_elements = st.lists(st.tuples(_words, _coeffs), max_size=5).map(
+    ShuffleElement.from_terms
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shuffle_elements)
+def test_printed_element_reads_back(u):
+    assert ev(str(u)) == u
+
+
+POWER_WEIGHTS = [LAM, Weight.of(0), Weight.of(2), Weight.of(LAM.value + 1),
+                 Weight.of(-3 * LAM.value**2)]
+
+
+@pytest.mark.parametrize("weight", POWER_WEIGHTS, ids=str)
+def test_power_is_the_repeated_product(weight):
+    rng = random.Random(23)
+    for _ in range(3):
+        base = random_shuffle_element(rng, GENS, max_len=2, max_words=2)
+        product = ShuffleElement.unit()
+        for k in range(6):
+            assert ev(f"({base})^{k}", weight) == product
+            product = shuffle_product(product, base, weight)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 8])
+def test_power_squares_only_while_bits_remain(monkeypatch, k):
+    calls = []
+
+    def counting(u, v, weight):
+        calls.append((u, v))
+        return shuffle_product(u, v, weight)
+
+    monkeypatch.setattr(exprparse, "shuffle_product", counting)
+    ev(f"[x1]^{k}")
+    assert len(calls) == max(k.bit_length() - 1, 0) + k.bit_count()
+
+
+def test_huge_power_of_the_unit_is_fast():
+    start = time.perf_counter()
+    assert ev("[1]^10000000") == ShuffleElement.unit()
+    assert time.perf_counter() - start < 1.0
+
+
+def _json_coeff(text):
+    return ShuffleElement.from_json_obj({"terms": [{"coeff": text, "word": ["1"]}]}, GENS)
+
+
+def _json_factor(text):
+    return ShuffleElement.from_json_obj({"terms": [{"coeff": "1", "word": [text]}]}, GENS)
+
+
+def _expr(text):
+    return parse_expr(text, GENS)
+
+
+def _poly(text):
+    return parse_polynomial(text, GENS)
+
+
+# every text reader runs on the one lexer, so each reports the line and
+# column of the offending token within the whole text it was given
+@pytest.mark.parametrize("read, text, line, column, message", [
+    (_expr, "x1 +", 1, 5, "expected an expression (at end of input)"),
+    (_expr, "x1 $ x2", 1, 4, "unexpected character '$'"),
+    (_expr, "(x1", 1, 4, "expected ) (at end of input)"),
+    (_expr, "x1*-x2", 1, 4, "expected an expression, found '-'"),
+    (_expr, "P x2", 1, 3, "unexpected trailing input, found 'x2'"),
+    (_expr, "x1^x2", 1, 4, "expected a nonnegative integer exponent, found 'x2'"),
+    (_expr, "[x1, x2]", 1, 4, "expected ], found ','"),
+    (_expr, "[x1|x2 ^]", 1, 9, "expected an exponent after '^'"),
+    (_expr, "[x1\n|2 x2]", 2, 4, "expected '+' or '-'"),
+    (_expr, "[x1 - ]", 1, 7, "expected a term"),
+    (_expr, "[2^3]", 1, 3, "expected '+' or '-'"),
+    (_expr, "[x1 |\n x2^0]", 2, 5, "exponent must be positive"),
+    (_poly, "lam  $", 1, 6, "unexpected character '$'"),
+    (_poly, "lam\n$", 2, 1, "unexpected character '$'"),
+    (_poly, "x1 ^ ", 1, 5, "expected an exponent after '^'"),
+    (_poly, "(lam)", 1, 1, "expected a term"),
+    (_poly, "lam)", 1, 4, "expected '+' or '-'"),
+    (_poly, "2*3", 1, 3, "expected a variable name"),
+    (HurwitzSeries.parse, "(1, 2, 3 $)", 1, 10, "unexpected character '$'"),
+    (HurwitzSeries.parse, "(1 2)", 1, 4, "expected '+' or '-'"),
+    (HurwitzSeries.parse, "(1, 2", 1, 6, "expected ',' or ')'"),
+    (HurwitzSeries.parse, "(1,\n,2)", 2, 1, "expected a term"),
+    (HurwitzSeries.parse, "1, 2)", 1, 5, "unexpected trailing input"),
+    (_json_coeff, "2 $", 1, 3, "unexpected character '$'"),
+    (_json_coeff, "lam lam", 1, 5, "expected '+' or '-'"),
+    (_json_factor, "x1*", 1, 4, "expected a variable name"),
+])
+def test_error_positions(read, text, line, column, message):
+    with pytest.raises(ExprSyntaxError) as exc:
+        read(text)
+    assert (exc.value.line, exc.value.column, exc.value.message) == (line, column, message)

@@ -144,6 +144,27 @@ def test_json_roundtrip():
         assert AbarElement.from_json_obj(obj, gens=("x1", "x2")) == a
 
 
+_NAMES = ("x1", "x2", "lam", "c1")
+
+
+@pytest.mark.parametrize("cls", [ShuffleElement, AbarElement])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_json_roundtrip_keeps_names_apart(cls, data):
+    # any name may be declared a generator; the others are coefficient symbols
+    gens = sorted(data.draw(st.sets(st.sampled_from(_NAMES), min_size=1)))
+    coeff_vars = [coeff_var(n) for n in _NAMES if n not in gens]
+    factors = st.dictionaries(st.sampled_from([gen_var(g) for g in gens]), st.integers(1, 2),
+                              max_size=2).map(Monomial.make)
+    words = st.lists(factors, min_size=1, max_size=3).map(lambda fs: cls._word(tuple(fs)))
+    monos = (st.dictionaries(st.sampled_from(coeff_vars), st.integers(1, 2), max_size=2)
+             .map(Monomial.make) if coeff_vars else st.just(ONE))
+    coeffs = st.dictionaries(monos, st.integers(-3, 3), max_size=2).map(Polynomial)
+    u = cls.from_terms(data.draw(st.lists(st.tuples(words, coeffs), max_size=4)))
+    obj = json.loads(json.dumps(u.to_json_obj()))
+    assert cls.from_json_obj(obj, gens=gens) == u
+
+
 @pytest.mark.parametrize("cls", [ShuffleElement, AbarElement])
 def test_json_coefficient_naming_a_generator_rejected(cls):
     obj = {"terms": [{"coeff": "x1*lam", "word": ["1", "x2"]}]}
