@@ -250,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
     except FreeBaxterError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print("error: input: nests deeper than the interpreter's recursion limit", file=sys.stderr)
+        return 2
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -233,16 +233,13 @@ def eval_expr(node: ExprNode, weight: Weight) -> ShuffleElement:
     if isinstance(node, Neg):
         return -eval_expr(node.child, weight)
     if isinstance(node, Pow):
-        # square and multiply, squaring only while bits of the exponent remain
+        # k products of the growing power by the base: squaring would take
+        # fewer products, but each squaring multiplies two large powers, which
+        # costs more in total for a base of several words
         result = ShuffleElement.unit()
         base = eval_expr(node.base, weight)
-        exp = node.exponent
-        while exp:
-            if exp & 1:
-                result = shuffle_product(result, base, weight)
-            exp >>= 1
-            if exp:
-                base = shuffle_product(base, base, weight)
+        for _ in range(node.exponent):
+            result = shuffle_product(result, base, weight)
         return result
     if isinstance(node, PApply):
         return baxter_operator(eval_expr(node.child, weight))

@@ -289,6 +289,15 @@ def test_eval_output_reads_back(capsys, expr, printed):
     assert (code, out) == (0, printed + "\n")
 
 
+@pytest.mark.parametrize(
+    "expr", ["-" * 2000 + "[1]", "(" * 2000 + "x1" + ")" * 2000], ids=["minus", "parentheses"]
+)
+def test_deeply_nested_input_is_an_input_error(capsys, expr):
+    code, out, err = run(capsys, "eval", "--", expr)
+    assert (code, out) == (2, "")
+    assert err == "error: input: nests deeper than the interpreter's recursion limit\n"
+
+
 def test_baxter_check_seed_reproducible(capsys):
     first = run(capsys, "baxter-check", "--trials", "5", "--seed", "11")
     second = run(capsys, "baxter-check", "--trials", "5", "--seed", "11")

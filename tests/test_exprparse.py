@@ -1,5 +1,4 @@
 import random
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,6 @@ from freebaxter import (
     print_expr,
     shuffle_product,
 )
-from freebaxter import exprparse
 from freebaxter.exprparse import (
     Add,
     CoeffVar,
@@ -244,25 +242,6 @@ def test_power_is_the_repeated_product(weight):
         for k in range(6):
             assert ev(f"({base})^{k}", weight) == product
             product = shuffle_product(product, base, weight)
-
-
-@pytest.mark.parametrize("k", [0, 1, 2, 5, 8])
-def test_power_squares_only_while_bits_remain(monkeypatch, k):
-    calls = []
-
-    def counting(u, v, weight):
-        calls.append((u, v))
-        return shuffle_product(u, v, weight)
-
-    monkeypatch.setattr(exprparse, "shuffle_product", counting)
-    ev(f"[x1]^{k}")
-    assert len(calls) == max(k.bit_length() - 1, 0) + k.bit_count()
-
-
-def test_huge_power_of_the_unit_is_fast():
-    start = time.perf_counter()
-    assert ev("[1]^10000000") == ShuffleElement.unit()
-    assert time.perf_counter() - start < 1.0
 
 
 def _json_coeff(text):
