@@ -7,8 +7,6 @@ Exit codes: 0 success, 1 verification failure, 2 parse/config error,
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 
 from .coeffring import Weight, parse_scalar
@@ -24,7 +22,6 @@ from .mixshuffle import (
     unit_word,
     word_product,
 )
-from .randgen import RNG_ALGORITHM, random_shuffle_element
 from .standard import StandardElement, from_standard, to_standard
 
 DEFAULT_GENS = "x1,x2,x3,x4"
@@ -117,6 +114,8 @@ def _weight(args, text: str | None = None) -> Weight:
 
 def _emit_element(elem, args) -> None:
     if args.output == "json":
+        import json
+
         print(json.dumps(elem.to_json_obj()))
     else:
         print(elem)
@@ -137,6 +136,8 @@ def _cmd_phi(args) -> int:
 
 
 def _cmd_psi(args) -> int:
+    import json
+
     if args.file == "-":
         obj = json.load(sys.stdin)
     else:
@@ -201,6 +202,10 @@ def _cmd_complete_mul(args) -> int:
 
 
 def _cmd_baxter_check(args) -> int:
+    import random
+
+    from .randgen import RNG_ALGORITHM, random_shuffle_element
+
     weight = _weight(args)
     check_weight = weight if args.check_weight is None else _weight(args, args.check_weight)
     gens = _gens_list(args)
@@ -214,9 +219,10 @@ def _cmd_baxter_check(args) -> int:
         if not baxter_identity_holds(target, u, v, lam=check_weight.value):
             failures += 1
             continue
-        left = shuffle_product(shuffle_product(u, v, weight), w, weight)
+        uv = shuffle_product(u, v, weight)
+        left = shuffle_product(uv, w, weight)
         right = shuffle_product(u, shuffle_product(v, w, weight), weight)
-        if left != right or shuffle_product(u, v, weight) != shuffle_product(v, u, weight):
+        if left != right or uv != shuffle_product(v, u, weight):
             failures += 1
     print(f"rng: {RNG_ALGORITHM} seed={args.seed}")
     print(f"trials: {args.trials}")
@@ -253,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("error: input: nests deeper than the interpreter's recursion limit", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
 

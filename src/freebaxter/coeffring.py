@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, Mapping
 
@@ -25,15 +24,61 @@ class Namespace(Enum):
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
+# sets a field of a record, past its refusing __setattr__
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class Variable:
-    namespace: Namespace
-    name: str
 
-    def __post_init__(self):
-        if not _IDENT_RE.match(self.name):
-            raise ValueError(f"invalid variable name: {self.name!r}")
+class Record:
+    """Base of the package's immutable value records. A subclass lists its
+    fields in ``__slots__``, in constructor order, and sets them in
+    ``__init__`` with ``_set``. Equality (same class, equal fields), the
+    hash of the field tuple, ``repr``, pickling and deep copies follow the
+    fields; assigning or deleting a field raises ``AttributeError``. The
+    hot records write out their own ``__eq__`` and ``__hash__``."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(type(self).__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class Variable(Record):
+    __slots__ = ("namespace", "name")
+
+    def __init__(self, namespace: Namespace, name: str):
+        if not _IDENT_RE.match(name):
+            raise ValueError(f"invalid variable name: {name!r}")
+        _set(self, "namespace", namespace)
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.namespace is other.namespace and self.name == other.name
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.namespace, self.name))
 
     @property
     def sort_key(self) -> tuple[int, str]:
@@ -52,11 +97,21 @@ def gen_var(name: str) -> Variable:
     return Variable(Namespace.GENERATOR, name)
 
 
-@dataclass(frozen=True, slots=True)
-class Monomial:
+class Monomial(Record):
     """A power product of variables; the empty product is the unit monomial."""
 
-    exponents: tuple[tuple[Variable, int], ...]
+    __slots__ = ("exponents",)
+
+    def __init__(self, exponents: tuple[tuple[Variable, int], ...]):
+        _set(self, "exponents", exponents)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.exponents == other.exponents
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.exponents,))
 
     @staticmethod
     def make(exps: Mapping[Variable, int]) -> "Monomial":
@@ -309,11 +364,13 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@dataclass(frozen=True, slots=True)
-class Weight:
+class Weight(Record):
     """The weight of the Baxter structure: a coefficient-namespace polynomial."""
 
-    value: Polynomial
+    __slots__ = ("value",)
+
+    def __init__(self, value: Polynomial):
+        _set(self, "value", value)
 
     @staticmethod
     def of(value) -> "Weight":

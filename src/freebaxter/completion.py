@@ -102,9 +102,16 @@ def _cut(u: ShuffleElement, top: int) -> ShuffleElement:
 # (Python 3.11, 2-vCPU VM), so the limit bounds a call to about ten
 # seconds: that class runs at truncation 6 (561,960 units, 5-7 s) and is
 # refused at truncation 7 (3,563,816). Over it a call raises ValueError
-# before building any word, instead of running for minutes. The same limit
-# bounds the entry pairs of a Hurwitz series product.
+# before building any word, instead of running for minutes.
 MAX_PRODUCT_UNITS = 1_000_000
+
+# Most pairs of nonzero entries one Hurwitz series product may multiply. A
+# pair costs 13 us with integer entries and 29-36 us with two-term polynomial
+# entries, whose binomial coefficients grow with the truncation (Python 3.11,
+# 2-vCPU VM): the dense product at truncation 773 (299,151 pairs) took 4.0 s
+# and 8.7-10.7 s. So the limit bounds a call to about ten seconds, as
+# MAX_PRODUCT_UNITS does for complete_mul.
+MAX_SERIES_PAIRS = 300_000
 
 
 def _check_units(x: CompleteElement, y: CompleteElement, top: int) -> None:
@@ -188,17 +195,17 @@ class HurwitzSeries:
     def __mul__(self, other: "HurwitzSeries") -> "HurwitzSeries":
         """Binomial convolution over the pairs of nonzero entries whose slots
         sum below the truncation, so zero padding costs nothing. Raises
-        ValueError when those pairs number over MAX_PRODUCT_UNITS."""
+        ValueError when those pairs number over MAX_SERIES_PAIRS."""
         self._check_trunc(other)
         trunc = self.trunc
         left = [(k, e) for k, e in enumerate(self.entries) if not e.is_zero]
         right = [(j, e) for j, e in enumerate(other.entries) if not e.is_zero]
         slots = [j for j, _ in right]
         pairs = sum(bisect_left(slots, trunc - k) for k, _ in left)
-        if pairs > MAX_PRODUCT_UNITS:
+        if pairs > MAX_SERIES_PAIRS:
             raise ValueError(
                 f"the series product at truncation {trunc} would take {pairs:,} entry "
-                f"pairs, over the limit of {MAX_PRODUCT_UNITS:,}"
+                f"pairs, over the limit of {MAX_SERIES_PAIRS:,}"
             )
         out = [Polynomial.zero()] * trunc
         for k, a in left:

@@ -19,14 +19,15 @@ identity on parser output shapes (left-associated chains).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .coeffring import (
     Cursor,
     Monomial,
     Polynomial,
+    Record,
     Weight,
+    _set,
     coeff_var,
     gen_var,
     read_polynomial,
@@ -35,64 +36,84 @@ from .mixshuffle import baxter_operator, shuffle_product
 from .words import ShuffleElement, TensorWord
 
 
-class ExprNode:
+class ExprNode(Record):
     """Base class for expression AST nodes."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class IntLit(ExprNode):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True, slots=True)
 class CoeffVar(ExprNode):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class GenVar(ExprNode):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True, slots=True)
 class WordLit(ExprNode):
-    factors: tuple[Polynomial, ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[Polynomial, ...]):
+        _set(self, "factors", factors)
 
 
-@dataclass(frozen=True, slots=True)
 class Add(ExprNode):
-    left: ExprNode
-    right: ExprNode
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: ExprNode, right: ExprNode):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
 class Sub(ExprNode):
-    left: ExprNode
-    right: ExprNode
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: ExprNode, right: ExprNode):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
 class Mul(ExprNode):
-    left: ExprNode
-    right: ExprNode
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: ExprNode, right: ExprNode):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True, slots=True)
 class Pow(ExprNode):
-    base: ExprNode
-    exponent: int
+    __slots__ = ("base", "exponent")
+
+    def __init__(self, base: ExprNode, exponent: int):
+        _set(self, "base", base)
+        _set(self, "exponent", exponent)
 
 
-@dataclass(frozen=True, slots=True)
 class PApply(ExprNode):
-    child: ExprNode
+    __slots__ = ("child",)
+
+    def __init__(self, child: ExprNode):
+        _set(self, "child", child)
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(ExprNode):
-    child: ExprNode
+    __slots__ = ("child",)
+
+    def __init__(self, child: ExprNode):
+        _set(self, "child", child)
 
 
 class _Parser:
@@ -176,9 +197,35 @@ def parse_expr(text: str, gens: Iterable[str] = ()) -> ExprNode:
 
 _PREC_ADD, _PREC_NEG, _PREC_MUL, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
+# the left-associated infix nodes: symbol and precedence
+_INFIX = {Add: ("+", _PREC_ADD), Sub: ("-", _PREC_ADD), Mul: ("*", _PREC_MUL)}
+
+
+def _left_spine(node: ExprNode) -> tuple[list, ExprNode]:
+    """The infix nodes down the left operands from ``node``, outermost
+    first, and the first left operand that is not one. A flat sum or
+    product is one long spine, so walking it with a loop leaves recursion
+    only to real nesting."""
+    spine = []
+    while type(node) in _INFIX:
+        spine.append(node)
+        node = node.left
+    return spine, node
+
 
 def _print(node: ExprNode, parent_prec: int) -> str:
-    if isinstance(node, IntLit):
+    if type(node) in _INFIX:
+        spine, first = _left_spine(node)
+        prec = _INFIX[type(spine[-1])][1]
+        parts = [_print(first, prec)]
+        for op in reversed(spine):
+            sym, op_prec = _INFIX[type(op)]
+            if prec < op_prec:
+                parts = ["(", *parts, ")"]
+            parts += (f" {sym} ", _print(op.right, op_prec + 1))
+            prec = op_prec
+        text = "".join(parts)
+    elif isinstance(node, IntLit):
         text, prec = str(node.value), _PREC_ATOM
     elif isinstance(node, (CoeffVar, GenVar)):
         text, prec = node.name, _PREC_ATOM
@@ -187,17 +234,8 @@ def _print(node: ExprNode, parent_prec: int) -> str:
         prec = _PREC_ATOM
     elif isinstance(node, PApply):
         text, prec = f"P({_print(node.child, 0)})", _PREC_ATOM
-    elif isinstance(node, Add):
-        text = f"{_print(node.left, _PREC_ADD)} + {_print(node.right, _PREC_ADD + 1)}"
-        prec = _PREC_ADD
-    elif isinstance(node, Sub):
-        text = f"{_print(node.left, _PREC_ADD)} - {_print(node.right, _PREC_ADD + 1)}"
-        prec = _PREC_ADD
     elif isinstance(node, Neg):
         text, prec = f"-{_print(node.child, _PREC_NEG)}", _PREC_NEG
-    elif isinstance(node, Mul):
-        text = f"{_print(node.left, _PREC_MUL)} * {_print(node.right, _PREC_MUL + 1)}"
-        prec = _PREC_MUL
     elif isinstance(node, Pow):
         text = f"{_print(node.base, _PREC_POW + 1)}^{node.exponent}"
         prec = _PREC_POW
@@ -224,12 +262,18 @@ def eval_expr(node: ExprNode, weight: Weight) -> ShuffleElement:
         return ShuffleElement.from_word(TensorWord((Monomial.of(gen_var(node.name)),)))
     if isinstance(node, WordLit):
         return ShuffleElement.from_factors(node.factors)
-    if isinstance(node, Add):
-        return eval_expr(node.left, weight) + eval_expr(node.right, weight)
-    if isinstance(node, Sub):
-        return eval_expr(node.left, weight) - eval_expr(node.right, weight)
-    if isinstance(node, Mul):
-        return shuffle_product(eval_expr(node.left, weight), eval_expr(node.right, weight), weight)
+    if type(node) in _INFIX:
+        spine, first = _left_spine(node)
+        result = eval_expr(first, weight)
+        for op in reversed(spine):
+            right = eval_expr(op.right, weight)
+            if isinstance(op, Add):
+                result = result + right
+            elif isinstance(op, Sub):
+                result = result - right
+            else:
+                result = shuffle_product(result, right, weight)
+        return result
     if isinstance(node, Neg):
         return -eval_expr(node.child, weight)
     if isinstance(node, Pow):

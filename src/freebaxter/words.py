@@ -9,7 +9,6 @@ multiplication on its linear combinations (``AbarElement``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, zip_longest
 from typing import Iterable, Mapping, Sequence
 
@@ -17,6 +16,8 @@ from .coeffring import (
     Monomial,
     Namespace,
     Polynomial,
+    Record,
+    _set,
     _signed_sum,
     mono_key,
     parse_polynomial,
@@ -34,16 +35,24 @@ def _check_factors(factors: Sequence[Monomial]) -> None:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class TensorWord:
+class TensorWord(Record):
     """A nonempty sequence of generator-namespace monomials."""
 
-    factors: tuple[Monomial, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if not self.factors:
+    def __init__(self, factors: tuple[Monomial, ...]):
+        if not factors:
             raise ValueError("a tensor word has at least one factor")
-        _check_factors(self.factors)
+        _check_factors(factors)
+        _set(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
 
     @property
     def degree(self) -> int:
@@ -62,17 +71,25 @@ def word_key(w: TensorWord | AbarWord) -> tuple:
     return (-len(w.factors), *chain.from_iterable(map(mono_key, w.factors)))
 
 
-@dataclass(frozen=True, slots=True)
-class AbarWord:
+class AbarWord(Record):
     """A direct-limit word: monomial factors with no trailing unit factor.
     The empty word is the multiplicative identity."""
 
-    factors: tuple[Monomial, ...]
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
-        if self.factors and self.factors[-1].is_unit:
+    def __init__(self, factors: tuple[Monomial, ...]):
+        if factors and factors[-1].is_unit:
             raise ValueError("AbarWord may not end in a unit factor; use abar_normalize")
-        _check_factors(self.factors)
+        _check_factors(factors)
+        _set(self, "factors", factors)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.factors == other.factors
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.factors,))
 
     def padded(self, length: int) -> tuple[Monomial, ...]:
         if length < len(self.factors):

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +13,12 @@ from freebaxter import (
     Weight,
     to_standard,
 )
+from freebaxter import cli
 from freebaxter.cli import main
 from freebaxter.exprparse import eval_expr, parse_expr
 from helpers import enumerate_shuffles, mixable_histogram
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -198,7 +205,7 @@ def test_hurwitz_mul_over_budget_exit_2(capsys):
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (2, "")
     assert err == ("error: config: the series product at truncation 1500 would take "
-                   "1,125,750 entry pairs, over the limit of 1,000,000\n")
+                   "1,125,750 entry pairs, over the limit of 300,000\n")
 
 
 def test_complete_mul(capsys):
@@ -296,6 +303,68 @@ def test_deeply_nested_input_is_an_input_error(capsys, expr):
     code, out, err = run(capsys, "eval", "--", expr)
     assert (code, out) == (2, "")
     assert err == "error: input: nests deeper than the interpreter's recursion limit\n"
+
+
+def test_flat_sum_and_product_are_not_nesting(capsys):
+    # a flat text is one long left spine, walked by a loop, however long
+    code, out, err = run(capsys, "eval", " + ".join(["[x1]"] * 5000))
+    assert (code, out, err) == (0, "5000*[x1]\n", "")
+    code, out, err = run(capsys, "eval", " * ".join(["2"] * 2000))
+    assert (code, out, err) == (0, f"{2 ** 2000}*[1]\n", "")
+
+
+def _imported_modules(*argv):
+    """stdout of ``python -X importtime *argv`` run on the source tree, and
+    the modules it imported beyond those a bare interpreter imports."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def modules(*args):
+        proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                              capture_output=True, text=True, env=env, check=True)
+        names = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                 if line.startswith("import time:") and "|" in line}
+        return proc.stdout, names
+
+    _, bare = modules("-c", "pass")
+    stdout, names = modules(*argv)
+    return stdout, names - bare
+
+
+def test_cli_start_up_loads_only_what_the_command_uses():
+    stdout, loaded = _imported_modules("-m", "freebaxter.cli", "eval", "[x1] * [x2]")
+    assert stdout == "[x1*x2]\n"
+    assert "freebaxter.exprparse" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json", "freebaxter.randgen"}
+    stdout, loaded = _imported_modules(
+        "-m", "freebaxter.cli", "phi", "--output", "json", "--trunc", "2", "[x1]")
+    assert json.loads(stdout) == to_standard(
+        eval_expr(parse_expr("[x1]", ("x1",)), Weight.default()), 2, Weight.default()
+    ).to_json_obj()
+    assert "json" in loaded
+    assert "freebaxter.randgen" not in loaded
+
+
+def test_baxter_check_products_per_trial(capsys, monkeypatch):
+    """Each passing trial takes five products in the CLI: (uv)w, u(vw) and
+    vu, with uv taken once for both associativity and commutativity."""
+    calls, product = [], cli.shuffle_product
+
+    def counted(u, v, weight):
+        calls.append((u, v))
+        return product(u, v, weight)
+
+    monkeypatch.setattr(cli, "shuffle_product", counted)
+    code, out, _ = run(capsys, "baxter-check", "--trials", "3", "--seed", "3")
+    assert code == 0 and out.endswith("failures: 0\n")
+    assert len(calls) == 15
+
+
+def test_baxter_check_counts_a_non_commutative_product(capsys, monkeypatch):
+    # u * v = u is associative, so only the commutativity check can fail
+    monkeypatch.setattr(cli, "shuffle_product", lambda u, v, weight: u)
+    code, out, _ = run(capsys, "baxter-check", "--trials", "4", "--seed", "3")
+    assert (code, out.splitlines()[-1]) == (1, "failures: 4")
 
 
 def test_baxter_check_seed_reproducible(capsys):

@@ -177,6 +177,23 @@ def test_print_parse_roundtrip_random():
         assert print_expr(reparsed) == printed
 
 
+def test_flat_text_prints_back():
+    """A flat text of 5,000 operands, parentheses only inside one: the
+    parser, the printer and the evaluator take no recursion per operand."""
+    rng = random.Random(8)
+    operands = ["x1", "2", "lam", "[1|x1]", "P(x2)", "x1^2", "(x1 - [x2])", "-x1"]
+    text = rng.choice(operands)
+    for _ in range(4999):
+        sep = rng.choice([" + ", " - ", " * "])
+        operand = rng.choice(operands[:-1] if sep == " * " else operands)
+        text += sep + operand
+    node = parse_expr(text, GENS)
+    assert print_expr(node) == text
+    sums = " + ".join(["[x1]"] * 5000)
+    assert ev(sums) == ev("[x1]").scale(5000)
+    assert print_expr(parse_expr(sums, GENS)) == sums
+
+
 def test_eval_random_roundtrip_shallow():
     # evaluation of deep random trees explodes combinatorially, so the
     # semantic check sticks to leaf-level atoms
