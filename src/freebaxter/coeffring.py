@@ -34,7 +34,10 @@ class Record:
     ``__init__`` with ``_set``. Equality (same class, equal fields), the
     hash of the field tuple, ``repr``, pickling and deep copies follow the
     fields; assigning or deleting a field raises ``AttributeError``. The
-    hot records write out their own ``__eq__`` and ``__hash__``."""
+    hot records keep their hash, order key and text in the slots of the base
+    ``_Cached``, outside their own ``__slots__``: equality, ``repr`` and
+    pickles see the fields only, and ``__reduce__`` rebuilds a record through
+    ``__init__``, as string hashes are salted per process."""
 
     __slots__ = ()
 
@@ -63,7 +66,25 @@ class Record:
         return type(self), self._fields()
 
 
-class Variable(Record):
+class _Cached(Record):
+    """``_hash`` is set in ``__init__``; ``_key`` and the text of ``_print``
+    are computed at most once. A subclass that defines ``__eq__`` restates
+    ``__hash__``, which Python would otherwise set to None."""
+
+    __slots__ = ("_hash", "_key", "_text")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __str__(self) -> str:
+        try:
+            return self._text
+        except AttributeError:
+            _set(self, "_text", self._print())
+            return self._text
+
+
+class Variable(_Cached):
     __slots__ = ("namespace", "name")
 
     def __init__(self, namespace: Namespace, name: str):
@@ -71,19 +92,13 @@ class Variable(Record):
             raise ValueError(f"invalid variable name: {name!r}")
         _set(self, "namespace", namespace)
         _set(self, "name", name)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.namespace is other.namespace and self.name == other.name
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.namespace, self.name))
+        _set(self, "_hash", hash((namespace, name)))
+        # coefficient variables sort before generator variables
+        _set(self, "_key", (0 if namespace is Namespace.COEFFICIENT else 1, name))
 
     @property
     def sort_key(self) -> tuple[int, str]:
-        # coefficient variables sort before generator variables
-        return (0 if self.namespace is Namespace.COEFFICIENT else 1, self.name)
+        return self._key
 
     def __str__(self) -> str:
         return self.name
@@ -97,26 +112,26 @@ def gen_var(name: str) -> Variable:
     return Variable(Namespace.GENERATOR, name)
 
 
-class Monomial(Record):
+class Monomial(_Cached):
     """A power product of variables; the empty product is the unit monomial."""
 
     __slots__ = ("exponents",)
 
     def __init__(self, exponents: tuple[tuple[Variable, int], ...]):
         _set(self, "exponents", exponents)
+        _set(self, "_hash", hash((exponents,)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.exponents == other.exponents
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.exponents,))
+    __hash__ = _Cached.__hash__
 
     @staticmethod
     def make(exps: Mapping[Variable, int]) -> "Monomial":
         items = tuple(
-            sorted(((v, e) for v, e in exps.items() if e != 0), key=lambda p: p[0].sort_key)
+            sorted(((v, e) for v, e in exps.items() if e != 0), key=lambda p: p[0]._key)
         )
         for _, e in items:
             if e < 0:
@@ -167,7 +182,7 @@ class Monomial(Record):
         gpart = {v: e for v, e in self.exponents if v.namespace is Namespace.GENERATOR}
         return Monomial.make(cpart), Monomial.make(gpart)
 
-    def __str__(self) -> str:
+    def _print(self) -> str:
         if not self.exponents:
             return "1"
         parts = []
@@ -184,15 +199,17 @@ def mono_key(m: Monomial) -> tuple:
     then at the first differing variable (coefficient namespace first, then
     by name) the larger exponent. The key is one flat tuple, so that a sort
     holds little per item; at equal degree no key is a prefix of another, so
-    two keys first differ at matching fields."""
-    if not m.exponents:
-        return (0,)  # the unit, the commonest word factor
-    key = [0]
+    two keys first differ at matching fields. A monomial keeps its key."""
+    try:
+        return m._key
+    except AttributeError:
+        key = [0]
     for v, e in m.exponents:
         key[0] -= e
-        key += v.sort_key
+        key += v._key
         key.append(-e)
-    return tuple(key)
+    _set(m, "_key", tuple(key))
+    return m._key
 
 
 def _signed_sum(pieces: list[tuple[bool, str]]) -> str:
@@ -316,6 +333,9 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
+
+    def __reduce__(self):
+        return Polynomial, (self._terms,)
 
     # -- printing ----------------------------------------------------------
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
+from itertools import accumulate
 from typing import Sequence
 
 from .coeffring import Cursor, Polynomial, Weight, binomial, read_polynomial
@@ -74,6 +75,9 @@ class CompleteElement:
     def __hash__(self) -> int:
         return hash((self.trunc, self._element))
 
+    def __reduce__(self):
+        return CompleteElement, (self.trunc, self._element)
+
     def _check_trunc(self, other: "CompleteElement") -> None:
         if self.trunc != other.trunc:
             raise TruncMismatch(f"truncation levels differ: {self.trunc} vs {other.trunc}")
@@ -105,12 +109,12 @@ def _cut(u: ShuffleElement, top: int) -> ShuffleElement:
 # before building any word, instead of running for minutes.
 MAX_PRODUCT_UNITS = 1_000_000
 
-# Most pairs of nonzero entries one Hurwitz series product may multiply. A
-# pair costs 13 us with integer entries and 29-36 us with two-term polynomial
-# entries, whose binomial coefficients grow with the truncation (Python 3.11,
-# 2-vCPU VM): the dense product at truncation 773 (299,151 pairs) took 4.0 s
-# and 8.7-10.7 s. So the limit bounds a call to about ten seconds, as
-# MAX_PRODUCT_UNITS does for complete_mul.
+# Most term pairs one Hurwitz series product may multiply: a pair of nonzero
+# entries counts the product of their numbers of terms. Near the limit, dense
+# products took 4.1 s with integer entries (truncation 774), 1.5 s with
+# two-term (350) and 1.5 s with eight-term entries (95) (Python 3.11, 2-vCPU
+# VM), so the limit bounds a call to seconds, as MAX_PRODUCT_UNITS does for
+# complete_mul.
 MAX_SERIES_PAIRS = 300_000
 
 
@@ -195,16 +199,18 @@ class HurwitzSeries:
     def __mul__(self, other: "HurwitzSeries") -> "HurwitzSeries":
         """Binomial convolution over the pairs of nonzero entries whose slots
         sum below the truncation, so zero padding costs nothing. Raises
-        ValueError when those pairs number over MAX_SERIES_PAIRS."""
+        ValueError when their term pairs number over MAX_SERIES_PAIRS."""
         self._check_trunc(other)
         trunc = self.trunc
         left = [(k, e) for k, e in enumerate(self.entries) if not e.is_zero]
         right = [(j, e) for j, e in enumerate(other.entries) if not e.is_zero]
         slots = [j for j, _ in right]
-        pairs = sum(bisect_left(slots, trunc - k) for k, _ in left)
+        # terms[i]: the terms of the first i nonzero entries of other
+        terms = list(accumulate((len(e.items()) for _, e in right), initial=0))
+        pairs = sum(len(a.items()) * terms[bisect_left(slots, trunc - k)] for k, a in left)
         if pairs > MAX_SERIES_PAIRS:
             raise ValueError(
-                f"the series product at truncation {trunc} would take {pairs:,} entry "
+                f"the series product at truncation {trunc} would take {pairs:,} term "
                 f"pairs, over the limit of {MAX_SERIES_PAIRS:,}"
             )
         out = [Polynomial.zero()] * trunc
@@ -226,6 +232,9 @@ class HurwitzSeries:
 
     def __hash__(self) -> int:
         return hash(self.entries)
+
+    def __reduce__(self):
+        return HurwitzSeries, (self.entries,)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"

@@ -97,6 +97,9 @@ class StandardElement:
     def __hash__(self) -> int:
         return hash(self.entries)
 
+    def __reduce__(self):
+        return StandardElement, (self.entries,)
+
     def __str__(self) -> str:
         parts = []
         for k in range(1, self.trunc + 1):

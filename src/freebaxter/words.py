@@ -16,7 +16,7 @@ from .coeffring import (
     Monomial,
     Namespace,
     Polynomial,
-    Record,
+    _Cached,
     _set,
     _signed_sum,
     mono_key,
@@ -35,7 +35,7 @@ def _check_factors(factors: Sequence[Monomial]) -> None:
             )
 
 
-class TensorWord(Record):
+class TensorWord(_Cached):
     """A nonempty sequence of generator-namespace monomials."""
 
     __slots__ = ("factors",)
@@ -45,22 +45,22 @@ class TensorWord(Record):
             raise ValueError("a tensor word has at least one factor")
         _check_factors(factors)
         _set(self, "factors", factors)
+        _set(self, "_hash", hash((factors,)))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.factors == other.factors
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.factors,))
+    __hash__ = _Cached.__hash__
 
     @property
     def degree(self) -> int:
         """Filtration degree: number of factors minus one."""
         return len(self.factors) - 1
 
-    def __str__(self) -> str:
-        return "[" + "|".join(str(f) for f in self.factors) + "]"
+    def _print(self) -> str:
+        return "[" + "|".join(map(str, self.factors)) + "]"
 
 
 def word_key(w: TensorWord | AbarWord) -> tuple:
@@ -71,7 +71,7 @@ def word_key(w: TensorWord | AbarWord) -> tuple:
     return (-len(w.factors), *chain.from_iterable(map(mono_key, w.factors)))
 
 
-class AbarWord(Record):
+class AbarWord(_Cached):
     """A direct-limit word: monomial factors with no trailing unit factor.
     The empty word is the multiplicative identity."""
 
@@ -82,24 +82,19 @@ class AbarWord(Record):
             raise ValueError("AbarWord may not end in a unit factor; use abar_normalize")
         _check_factors(factors)
         _set(self, "factors", factors)
+        _set(self, "_hash", hash((factors,)))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.factors == other.factors
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.factors,))
+    __eq__, __hash__ = TensorWord.__eq__, TensorWord.__hash__
 
     def padded(self, length: int) -> tuple[Monomial, ...]:
         if length < len(self.factors):
             raise ValueError("cannot pad to a shorter length")
         return self.factors + (Monomial.unit(),) * (length - len(self.factors))
 
-    def __str__(self) -> str:
+    def _print(self) -> str:
         if not self.factors:
             return "1"
-        return "(" + "|".join(str(f) for f in self.factors) + ")"
+        return "(" + "|".join(map(str, self.factors)) + ")"
 
 
 def abar_normalize(factors: Sequence[Monomial]) -> AbarWord:
@@ -220,6 +215,9 @@ class _LinearElement:
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
+
+    def __reduce__(self):
+        return type(self), (self._terms,)
 
     def _sorted_terms(self):
         return sorted(self._terms.items(), key=lambda term: word_key(term[0]))

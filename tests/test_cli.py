@@ -198,14 +198,15 @@ def test_hurwitz_mul_zero_padding_is_free(capsys):
 
 
 def test_hurwitz_mul_over_budget_exit_2(capsys):
-    # two dense series at truncation 1500: sum over k of 1500 - k = 1,125,750 pairs
+    # two dense series of one-term entries at truncation 1500: sum over k of
+    # 1500 - k = 1,125,750 term pairs
     dense = "(" + ",".join(["1"] * 1500) + ")"
     start = time.perf_counter()
     code, out, err = run(capsys, "hurwitz-mul", "--trunc", "1500", dense, dense)
     assert time.perf_counter() - start < 2.0
     assert (code, out) == (2, "")
     assert err == ("error: config: the series product at truncation 1500 would take "
-                   "1,125,750 entry pairs, over the limit of 300,000\n")
+                   "1,125,750 term pairs, over the limit of 300,000\n")
 
 
 def test_complete_mul(capsys):

@@ -215,7 +215,8 @@ def test_product_budget_counts_degrees_in_ascending_order(monkeypatch):
 
 def test_series_product_pair_limit(monkeypatch):
     """(1, 0, 1) times (1, 1, 1) at truncation 3: the entry at slot 0 pairs
-    with all three, the one at slot 2 with slot 0 only, so 4 entry pairs.
+    with all three, the one at slot 2 with slot 0 only, so 4 entry pairs of
+    one term each.
     The series limit is its own, not that of complete_mul."""
     x, y = HurwitzSeries([1, 0, 1]), HurwitzSeries([1, 1, 1])
     assert x * y == HurwitzSeries([1, 1, 2])
@@ -223,7 +224,7 @@ def test_series_product_pair_limit(monkeypatch):
     monkeypatch.setattr(completion, "MAX_SERIES_PAIRS", 4)
     assert x * y == HurwitzSeries([1, 1, 2])
     monkeypatch.setattr(completion, "MAX_SERIES_PAIRS", 3)
-    with pytest.raises(ValueError, match="truncation 3 would take 4 entry pairs, over the limit of 3"):
+    with pytest.raises(ValueError, match="truncation 3 would take 4 term pairs, over the limit of 3"):
         x * y
 
 

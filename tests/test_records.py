@@ -7,16 +7,22 @@ import pickle
 import pytest
 
 from freebaxter import (
+    AbarElement,
     AbarWord,
+    CompleteElement,
+    HurwitzSeries,
     Monomial,
     Namespace,
     NamespaceViolation,
     Polynomial,
+    ShuffleElement,
+    StandardElement,
     TensorWord,
     Variable,
     Weight,
     coeff_var,
     gen_var,
+    parse_polynomial,
 )
 from freebaxter.exprparse import (
     Add,
@@ -116,13 +122,30 @@ def test_fields_cannot_change(record, other, text):
 
 @pytest.mark.parametrize("record, other, text", CASES, ids=IDS)
 def test_pickle_and_deepcopy_round_trip(record, other, text):
-    # from protocol 2, which the slotted Polynomial inside some records needs
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         back = pickle.loads(pickle.dumps(record, protocol))
         assert type(back) is type(record)
         assert back == record and hash(back) == hash(record)
     for back in (copy.deepcopy(record), copy.copy(record)):
         assert back == record and repr(back) == text
+
+
+@pytest.mark.parametrize("value", [
+    Polynomial.one(),
+    parse_polynomial("3*lam^2*x1 - c + 2", ["x1"]),
+    ShuffleElement.from_factors([parse_polynomial("x1 + lam", ["x1"]), Polynomial.one()]),
+    AbarElement.from_word(AbarWord((Monomial.of(X1),)), 3),
+    HurwitzSeries([1, parse_polynomial("lam"), 0]),
+    CompleteElement.from_element(ShuffleElement.unit(), 2),
+    StandardElement([AbarElement.identity(), AbarElement.zero()]),
+], ids=["one", "polynomial", "ShuffleElement", "AbarElement", "HurwitzSeries",
+        "CompleteElement", "StandardElement"])
+def test_values_holding_polynomials_pickle_at_every_protocol(value):
+    """The records holding polynomials (Weight, WordLit) are in CASES."""
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is type(value)
+        assert back == value and hash(back) == hash(value) and str(back) == str(value)
 
 
 def test_keyword_construction():
